@@ -1,8 +1,7 @@
 """diobench: exact-arithmetic workbench for Diophantine definability checks.
 
 Everything runs over exact rationals (stdlib fractions); no floats enter any
-verdict.  The compiled kernels in :mod:`diobench.kernels` only accelerate
-integer brute-force scans and are bit-identical to the pure fallback.
+verdict.
 """
 
 __version__ = "0.1.0"

@@ -30,14 +30,31 @@ def env_bound(default):
         return default
 
 
+def _require(args, what, *names):
+    """Raise ValueError naming the options of `names` that were not given."""
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise ValueError(f"{what} needs {', '.join(missing)}")
+
+
+def _rational(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _poly(text):
     # the variable letter is case-insensitive on input
-    return parse_poly(text.replace("t", "T"))
+    try:
+        return parse_poly(text.replace("t", "T"))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _num_or_poly(text):
     try:
-        return Fraction(text)
+        return _rational(text)
     except ValueError:
         return _poly(text)
 
@@ -50,10 +67,11 @@ def cmd_pell(args):
     report.add("identity", pair.verify())
     if args.check_laws:
         bound = env_bound(args.bound)
-        ok = all(check_degree_law(s, n) for n in range(1, bound + 1))
+        ok = all(check_degree_law(s, n)["pass"]
+                 for n in range(1, bound + 1))
         report.add("degree-law", ok, f"n <= {bound}")
         ok = all(
-            check_divisibility_law(ell, n, s)
+            check_divisibility_law(ell, n, s)["pass"]
             for ell in range(1, bound + 1)
             for n in range(1, bound + 1)
         )
@@ -63,20 +81,26 @@ def cmd_pell(args):
 
 def cmd_defsys(args):
     bound = env_bound(args.bound)
+    what = f"defsys {args.system}"
     if args.system == "constants":
+        _require(args, what, "x")
         rep = wit.constants_system(_num_or_poly(args.x))
     elif args.system == "singlefold-int":
+        _require(args, what, "c")
         rep = wit.singlefold_int(_num_or_poly(args.c), bound=bound)
     elif args.system == "exp":
+        _require(args, what, "base", "result", "exp")
         rep = wit.exp_system(args.base, args.result, args.exp)
     elif args.system == "odd-int":
         if args.r is not None:
             rep = wit.odd_integer_system(r=args.r, bound=bound)
         else:
+            _require(args, f"{what} without --r", "a")
             rep = wit.odd_integer_refute(_num_or_poly(args.a), bound=bound)
     elif args.system == "nonneg":
+        _require(args, what, "d")
         rep = wit.nonneg_gadget(args.d)
-    report = Report(f"defsys {args.system}", result=rep.to_dict())
+    report = Report(what, result=rep.to_dict())
     status = "measured" if rep.system == "nonneg" else (
         rep.verdict in ("accepted", "refuted", "refuted-to-bound")
     )
@@ -85,12 +109,15 @@ def cmd_defsys(args):
 
 
 def cmd_cyclo(args):
-    report = Report(f"cyclo {args.op}")
+    what = f"cyclo {args.op}"
+    report = Report(what)
     if args.op == "phi":
+        _require(args, what, "n")
         report.inputs["n"] = args.n
         report.result = format_poly(cyc.cyclotomic(args.n))
         report.add("computed", True)
     elif args.op == "special":
+        _require(args, what, "n")
         report.inputs["n"] = args.n
         sf = cyc.special_form(args.n)
         if sf is None:
@@ -101,6 +128,7 @@ def cmd_cyclo(args):
             report.result = {"p": sf.p, "m": sf.m, "d": d, "s": s}
             report.add("special-form", True)
     elif args.op == "forweak":
+        _require(args, what, "poly")
         F = _poly(args.poly)
         report.inputs = {"F": format_poly(F), "d": args.d}
         spec = cyc.forweak_approx(F, args.d)
@@ -108,8 +136,11 @@ def cmd_cyclo(args):
         report.add("congruent-mod-T^d", True,
                    f"{len(spec.indices)} special factors")
     elif args.op == "approx":
+        _require(args, what, "indices")
         pairs = [tuple(map(int, part.split(":")))
                  for part in args.indices.split(",")]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError(f"indices {args.indices!r} are not p:m pairs")
         report.inputs["indices"] = args.indices
         point = cyc.approx_point(pairs)
         report.result = point.to_dict()
@@ -133,21 +164,25 @@ def cmd_cyclo(args):
 
 
 def cmd_qform(args):
-    report = Report(f"qform {args.op}")
+    what = f"qform {args.op}"
+    report = Report(what)
     if args.op == "report":
+        _require(args, what, "a", "b")
         report.inputs = {"a": args.a, "b": args.b}
-        diag = qf.anisotropy_report(Fraction(args.a), Fraction(args.b))
+        diag = qf.anisotropy_report(_rational(args.a), _rational(args.b))
         report.result = diag.to_dict()
         report.add("reciprocity", True)
         report.add("isotropic-everywhere", "measured",
                    diag.globally_isotropic)
     elif args.op == "eisenstein":
+        _require(args, what, "poly", "p")
         f = _poly(args.poly)
         report.inputs = {"f": format_poly(f), "p": args.p}
         cert = qf.eisenstein_certify(f, args.p)
         report.result = cert.to_dict()
         report.add("certificate", cert.verdict)
     elif args.op == "xi":
+        _require(args, what, "f")
         f = _poly(args.f)
         report.inputs["f"] = format_poly(f)
         if args.real:
@@ -156,12 +191,14 @@ def cmd_qform(args):
                              "h": format_poly(h)}
             report.add("positive-definite", True, "Sturm count 0")
         else:
+            _require(args, f"{what} without --real", "p")
             report.inputs["p"] = args.p
             xi, h, cert = qf.padic_xi_construct(f, args.p)
             report.result = {"xi1": str(xi.xi1), "xi3": str(xi.xi3),
                              "h": format_poly(h), "cert": cert.to_dict()}
             report.add("eisenstein-certificate", cert.verdict)
     elif args.op == "gate":
+        _require(args, what, "g")
         g = _poly(args.g)
         report.inputs["g"] = format_poly(g)
         out = qf.even_order_gate(g)
@@ -172,7 +209,8 @@ def cmd_qform(args):
 
 
 def cmd_par(args):
-    report = Report(f"par {args.op}")
+    what = f"par {args.op}"
+    report = Report(what)
     if args.op == "theta":
         if args.n is not None:
             report.inputs["n"] = args.n
@@ -180,12 +218,14 @@ def cmd_par(args):
             report.result = format_poly(P)
             report.add("round-trip", pe.theta_inverse(P) == args.n)
         else:
+            _require(args, f"{what} without --n", "poly")
             P = _poly(args.poly)
             report.inputs["poly"] = format_poly(P)
             n = pe.theta_inverse(P)
             report.result = n
             report.add("round-trip", pe.theta(n) == P)
     elif args.op == "eval":
+        _require(args, what, "n")
         report.inputs["n"] = args.n
         t = pe.make_par_tuple(args.n)
         verdict = pe.par_eval(t)
@@ -193,6 +233,7 @@ def cmd_par(args):
                          "conditions": verdict["conditions"]}
         report.add("accepted", verdict["verdict"] == "accepted")
     elif args.op == "five-squares":
+        _require(args, what, "poly")
         F = _poly(args.poly)
         report.inputs["F"] = format_poly(F)
         res = pe.five_squares_search(

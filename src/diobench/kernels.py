@@ -1,19 +1,64 @@
-"""Backend selection for the integer search kernels.
+"""The integer search kernels: four squares and the mod-p^k scan behind the
+local-solubility oracle.
 
-The compiled extension is preferred; set WORKBENCH_PURE_PY=1 to force the
-pure-Python fallback (used by the benchmark and in CI sanity runs).
+``BACKEND`` names the implementation; it is always ``"python"``.
 """
 
-import os
+from math import isqrt
 
-if os.environ.get("WORKBENCH_PURE_PY"):
-    from diobench import _kernels_py as _impl
-else:
-    try:
-        from diobench import _kernels_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from diobench import _kernels_py as _impl
+BACKEND = "python"
 
-BACKEND = _impl.BACKEND
-four_squares_raw = _impl.four_squares_raw
-mod_scan_soluble = _impl.mod_scan_soluble
+
+def four_squares_raw(n):
+    """Decompose n >= 0 as a sum of four squares, components descending.
+
+    Greedy descending search; always succeeds by Lagrange's theorem.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    for x1 in range(isqrt(n), -1, -1):
+        r1 = n - x1 * x1
+        if r1 > 3 * x1 * x1:
+            break  # x1 too small to stay the largest component
+        for x2 in range(min(x1, isqrt(r1)), -1, -1):
+            r2 = r1 - x2 * x2
+            if r2 > 2 * x2 * x2:
+                break
+            for x3 in range(min(x2, isqrt(r2)), -1, -1):
+                r3 = r2 - x3 * x3
+                if r3 > x3 * x3:
+                    break
+                x4 = isqrt(r3)
+                if x4 * x4 == r3:
+                    return (x1, x2, x3, x4)
+    raise AssertionError("four-square decomposition not found")
+
+
+def mod_scan_soluble(a, b, m):
+    """Exhaustive test for a primitive solution of z^2 = a*x^2 + b*y^2 mod m.
+
+    m is a power of a prime.  A primitive solution has at least one
+    coordinate that is a unit; scaling by that unit's inverse reduces the
+    search to the three one-dimensional scans below.
+    """
+    a %= m
+    b %= m
+    squares = bytearray(m)
+    for z in range(m // 2 + 1):
+        squares[z * z % m] = 1
+    # x = 1: z^2 - b*y^2 = a
+    for y in range(m):
+        if squares[(a + b * y * y) % m]:
+            return 1
+    # y = 1: z^2 - a*x^2 = b
+    for x in range(m):
+        if squares[(b + a * x * x) % m]:
+            return 1
+    # z = 1: 1 - a*x^2 = b*y^2
+    byy = bytearray(m)
+    for y in range(m):
+        byy[b * y * y % m] = 1
+    for x in range(m):
+        if byy[(1 - a * x * x) % m]:
+            return 1
+    return -1

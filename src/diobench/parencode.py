@@ -8,6 +8,7 @@ bit-for-bit in docs/theta-scheme.md.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from diobench.pellpairs import pell_pair
@@ -197,10 +198,22 @@ def five_squares_search(F, g_max=4, witness_limit=50):
     limit), "not-pos" (F fails pos_check, no decomposition exists), or
     "exhausted" (no decomposition up to g_max; the relation is c.e., so this
     is a semi-decision, not a refusal).  Degree of F is capped at 4.
+
+    The search runs once per (F, g_max, witness_limit); every call gets its
+    own copy of the result.
     """
     F = Poly.coerce(F)
     if (F.degree or 0) > 4:
         raise ValueError("search restricted to deg F <= 4")
+    res = dict(_five_squares_cached(F.coeffs, g_max, witness_limit))
+    if "parts" in res:
+        res["parts"] = list(res["parts"])
+    return res
+
+
+@lru_cache(maxsize=1 << 12)
+def _five_squares_cached(coeffs, g_max, witness_limit):
+    F = Poly(coeffs)
     if not pos_check(F):
         return {"status": "not-pos"}
     if F.is_zero():

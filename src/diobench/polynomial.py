@@ -26,7 +26,9 @@ class Poly:
         if isinstance(coeffs, Poly):
             self.coeffs = coeffs.coeffs
             return
-        cs = [_norm_coeff(c) for c in coeffs]
+        # ints are the common case; only other values (Fraction, bool, ...)
+        # take the slower normalization
+        cs = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -137,13 +139,21 @@ class Poly:
         q = []
         rem = list(self.coeffs)
         d = other.degree
-        lc = Fraction(other.lead())
+        lc = other.lead()
+        lc_int = type(lc) is int
         while len(rem) - 1 >= d and rem:
-            c = Fraction(rem[-1]) / lc
+            top = rem[-1]
+            # stay in Z while the lead divides the top coefficient exactly;
+            # otherwise this one step goes through Q
+            if lc_int and type(top) is int and top % lc == 0:
+                c = top // lc
+            else:
+                c = Fraction(top) / lc
             k = len(rem) - 1 - d
             q.append((k, c))
             for i, oc in enumerate(other.coeffs):
-                rem[k + i] -= c * oc
+                if oc:  # skipping zeros keeps untouched entries in Z
+                    rem[k + i] -= c * oc
             rem.pop()
             while rem and rem[-1] == 0:
                 rem.pop()

@@ -103,7 +103,7 @@ def local_solubility_oracle(a, b, p, k=None):
     b = squarefree_kernel(_int_rep(b))
     key = (a, b, p, k)
     if key not in _oracle_cache:
-        _oracle_cache[key] = mod_scan_soluble(a, b, p**k, p)
+        _oracle_cache[key] = mod_scan_soluble(a, b, p**k)
     return _oracle_cache[key]
 
 

@@ -94,6 +94,19 @@ def test_five_squares_verify_and_search():
         five_squares_verify(1, T, [T])
 
 
+def test_five_squares_search_results_are_independent():
+    """Mutating one call's result does not change the next call's."""
+    F = 2 * T * T + 3
+    first = five_squares_search(F)
+    expected = dict(first, parts=list(first["parts"]))
+    first["parts"][0] = Poly([99])
+    first["parts"].append(T)
+    first["g"] = 0
+    again = five_squares_search(F)
+    assert again == expected
+    assert five_squares_verify(again["g"], F, again["parts"])
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_five_squares_found_implies_pos(data):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diobench import acceptance, cli
 from diobench.pellpairs import (
     check_degree_law,
     check_divisibility_law,
@@ -46,13 +47,27 @@ def test_pell_group_law(s, m, n):
 
 @given(s=s_strategy, n=st.integers(1, 25))
 def test_degree_law(s, n):
-    assert check_degree_law(s, n)
+    assert check_degree_law(s, n)["pass"]
 
 
 @given(s=s_strategy, ell=st.integers(1, 20), n=st.integers(1, 20))
 @settings(max_examples=150)
 def test_divisibility_biconditional(s, ell, n):
-    assert check_divisibility_law(ell, n, s)
+    assert check_divisibility_law(ell, n, s)["pass"]
+
+
+@pytest.mark.parametrize("law", ["check_degree_law",
+                                 "check_divisibility_law"])
+def test_failing_law_fails_criterion_and_cli(law, monkeypatch, capsys):
+    """A law reporting pass False must fail criterion 01 and exit 1."""
+    for mod in (acceptance, cli):
+        right = getattr(mod, law)
+        monkeypatch.setattr(
+            mod, law, lambda *args, right=right: {**right(*args), "pass": False}
+        )
+    assert acceptance.pell_laws(bound=3).status == "fail"
+    assert cli.main(["pell", "--s", "t", "--n", "2", "--check-laws",
+                     "--bound", "3"]) == 1
 
 
 @given(s=s_strategy, n=st.integers(-20, 20))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diobench.polynomial import (
@@ -26,6 +26,20 @@ small_polys = st.builds(
     Poly, st.lists(st.integers(-9, 9), min_size=0, max_size=6)
 )
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+# integer and rational coefficients mixed, so division runs in Z, in Q, or
+# switches between them step by step
+rat_polys = st.builds(Poly, st.lists(
+    st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6)),
+    min_size=0, max_size=6,
+))
+nonzero_rat_polys = rat_polys.filter(lambda p: not p.is_zero())
+# divisor leads 2 and 3 divide some dividend coefficients but not others
+SWITCHING = [
+    (Poly([1, 3, 4, 6]), Poly([1, 2])),        # Z, then Q
+    (Poly([0, 0, 4, 3]), Poly([1, 0, 2])),     # Q, then Z
+    (Poly([5, 9, 8, 1, 6]), Poly([1, 0, 3])),  # Z, Q, Z
+    (Poly([Fraction(1, 2), 4, 6]), Poly([1, 2])),
+]
 
 
 def test_construction_and_basics():
@@ -45,14 +59,23 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-@given(a=small_polys, b=nonzero_polys)
+def _switching(test):
+    for a, b in SWITCHING:
+        test = example(a=a, b=b)(test)
+    return test
+
+
+@given(a=rat_polys, b=nonzero_rat_polys)
+@_switching
 def test_divmod_law(a, b):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.is_zero() or r.degree < b.degree
 
 
-@given(a=small_polys, b=nonzero_polys)
+@given(a=rat_polys, b=nonzero_rat_polys)
+@example(a=Poly([0, 2, 13, 6]), b=Poly([4, 2]))  # divides; Z, then Q
+@_switching
 def test_divides_iff_zero_remainder(a, b):
     assert b.divides(a) == (a % b).is_zero()
     if b.divides(a) and not a.is_zero():

@@ -1,16 +1,12 @@
-import ast
-import importlib.util
 import json
-import os
-import subprocess
-import sys
 from importlib import resources
 from math import isqrt
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from diobench import cli
+from diobench import cli, kernels
 from diobench.reports import Check, Report
 
 
@@ -92,6 +88,17 @@ def test_cli_exit_codes(capsys):
     assert code == 2  # parse error
 
 
+@pytest.mark.parametrize("argv", [
+    ["cyclo", "phi"],
+    ["defsys", "exp"],
+    ["qform", "report"],
+    ["defsys", "singlefold-int", "--c", "1/0"],
+])
+def test_cli_bad_input_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_text_format(capsys):
     code, out = _run_cli(["defsys", "nonneg", "--d", "4"], capsys)
     assert code == 0
@@ -105,6 +112,15 @@ def test_workbench_bound_env(capsys, monkeypatch):
     doc = json.loads(out)
     # bound 0 cannot reach the witness at n = 3
     assert "refuted-to-bound" in json.dumps(doc)
+
+
+def test_verify_all_quick_matches_golden(capsys):
+    """The quick report stays byte-identical to the recorded one."""
+    golden = Path(__file__).parent / "golden" / "verify-all-quick-seed0.json"
+    code, out = _run_cli(["--format", "json", "verify-all",
+                          "--profile", "quick", "--seed", "0"], capsys)
+    assert code == 0
+    assert out == golden.read_text()
 
 
 def test_verify_all_quick_deterministic(capsys):
@@ -143,33 +159,13 @@ def _mod_scan_reference(a, b, m, p):
 
 
 def test_kernel_backends_agree():
-    """The active backend is the compiled one exactly when it is built, and
-    both backends give the brute-force answers."""
+    """The kernels give the brute-force answers."""
     ns = (0, 7, 30, 9999)
     pairs = [(a, b) for a in (1, 2, -1) for b in (1, 3, -3)]
-    code = (
-        "from diobench.kernels import BACKEND, four_squares_raw,"
-        " mod_scan_soluble\n"
-        "print(BACKEND)\n"
-        f"print([four_squares_raw(n) for n in {ns!r}])\n"
-        f"print([mod_scan_soluble(a, b, 27, 3) for a, b in {pairs!r}])\n"
-    )
-    default_env = {k: v for k, v in os.environ.items()
-                   if k != "WORKBENCH_PURE_PY"}
-    pure_env = dict(default_env, WORKBENCH_PURE_PY="1")
-    runs = {}
-    for name, env in (("default", default_env), ("pure", pure_env)):
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=env, check=True,
-        ).stdout.splitlines()
-        runs[name] = [out[0]] + [ast.literal_eval(line) for line in out[1:]]
-    compiled = importlib.util.find_spec("diobench._kernels_cy") is not None
-    assert runs["default"][0] == ("cython" if compiled else "python")
-    assert runs["pure"][0] == "python"
-    reference = [
-        [_four_squares_reference(n) for n in ns],
-        [_mod_scan_reference(a, b, 27, 3) for a, b in pairs],
+    assert kernels.BACKEND == "python"
+    assert [kernels.four_squares_raw(n) for n in ns] == [
+        _four_squares_reference(n) for n in ns
     ]
-    assert runs["default"][1:] == reference
-    assert runs["pure"][1:] == reference
+    assert [kernels.mod_scan_soluble(a, b, 27) for a, b in pairs] == [
+        _mod_scan_reference(a, b, 27, 3) for a, b in pairs
+    ]
