@@ -11,6 +11,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from diobench import acceptance, cyclotomic as cyc, parencode as pe
 from diobench import quadforms as qf, witness as wit
@@ -258,7 +259,10 @@ def cmd_verify_all(args):
     return acceptance.run_suite(profile=args.profile, seed=args.seed)
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The CLI parser, built once; each parse_args call gets a fresh
+    namespace."""
     ap = argparse.ArgumentParser(
         prog="diobench",
         description="exact-arithmetic Diophantine definability workbench",

@@ -206,7 +206,7 @@ def forweak_approx(F, d):
     f0 = F.constant()
     if f0 not in (1, -1):
         raise ValueError("F(0) must be +-1")
-    if d > 12 or (F.degree or 0) > 16:
+    if not 1 <= d <= 12 or (F.degree or 0) > 16:
         raise ValueError("arguments out of the supported range")
     sign = f0
     indices = []

@@ -71,9 +71,14 @@ def pos_check(F):
 
     True iff F = 0, or deg F is even with positive lead and no real root of
     odd multiplicity (squarefree factors of odd multiplicity must have Sturm
-    count 0).
+    count 0).  Each polynomial is decided once.
     """
-    F = Poly.coerce(F)
+    return _pos_cached(Poly.coerce(F).coeffs)
+
+
+@lru_cache(maxsize=1 << 14)
+def _pos_cached(coeffs):
+    F = Poly(coeffs)
     if F.is_zero():
         return True
     if F.degree % 2 or F.lead() < 0:

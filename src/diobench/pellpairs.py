@@ -7,6 +7,7 @@ with n ranging over the integers (negative n via conjugation).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from diobench.polynomial import ONE, Poly, QuadExt, ZERO
 
@@ -38,10 +39,20 @@ class PellPair:
 
 
 def pell_pair(s, n):
-    """The unique (f_n, g_n) with f_n - sqrt(s^2-1) g_n = eps^n."""
+    """The unique (f_n, g_n) with f_n - sqrt(s^2-1) g_n = eps^n.
+
+    Each pair is built and checked once per (s, n); the pair is frozen, so
+    every caller shares it.
+    """
     s = Poly.coerce(s)
     if s.is_constant():
         raise ValueError("parameter s must be nonconstant")
+    return _pell_cached(s.coeffs, n)
+
+
+@lru_cache(maxsize=1 << 12)
+def _pell_cached(coeffs, n):
+    s = Poly(coeffs)
     z = epsilon(s) ** n
     pair = PellPair(n, z.u, -z.w, s)
     assert pair.verify()

@@ -427,10 +427,13 @@ def real_root_count(p):
     p = Poly.coerce(p)
     if p.is_zero():
         raise ValueError("zero polynomial has infinitely many roots")
-    if p.degree == 0:
-        return 0
-    b = cauchy_bound(p)
-    return sturm_count(p, -b, b)
+    # Every root lies in (-B, B) for the Cauchy bound B, so the count on
+    # (-B, B] equals V(-oo) - V(+oo), read from each member's lead and degree
+    # (a nonzero constant is its own chain and counts 0).
+    chain = sturm_chain(p)
+    at_pos = [q.lead() for q in chain]
+    at_neg = [-c if q.degree % 2 else c for q, c in zip(chain, at_pos)]
+    return _sign_changes(at_neg) - _sign_changes(at_pos)
 
 
 def squarefree_decomposition(p):

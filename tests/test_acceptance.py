@@ -1,9 +1,11 @@
 """The thirteen acceptance criteria, one test (and one printed pass/fail
 line) each.  "measured" is a pass with data attached; only "fail" fails."""
 
+from dataclasses import replace
+
 import pytest
 
-from diobench import acceptance
+from diobench import acceptance, parencode
 
 
 def _run(check):
@@ -64,3 +66,23 @@ def test_12_theta_par():
 
 def test_13_four_squares():
     _run(acceptance.four_squares_range())
+
+
+# Mutation tests: one wrong value injected through a public name (so a warm
+# cache behind it cannot hide the fault) must make the criterion fail.
+
+
+def test_01_fails_on_wrong_pell_pair(monkeypatch):
+    right = acceptance.pell_pair
+    monkeypatch.setattr(acceptance, "pell_pair",
+                        lambda s, n: replace(right(s, n), f=right(s, n).f + 1))
+    assert acceptance.pell_laws(bound=10).status == "fail"
+
+
+def test_12_fails_when_pos_accepts_everything(monkeypatch, request):
+    # five-squares results computed under the fault must not outlive it
+    request.addfinalizer(parencode._five_squares_cached.cache_clear)
+    monkeypatch.setattr(parencode, "pos_check", lambda F: True)
+    check = acceptance.theta_par(n_round=10**4, n_par=60, perturbations=4,
+                                 seed=0)
+    assert check.status == "fail"

@@ -66,6 +66,14 @@ def test_pos_check_examples():
     assert not pos_check(2 * T - 1)
 
 
+def test_pos_check_repeated_call_agrees():
+    for F, expected in ((T**4 - 2 * T * T + 1, True),
+                        (T**4 - 2 * T * T, False)):
+        assert pos_check(F) is expected
+        assert pos_check(F) is expected
+        assert pos_check(Poly(list(F.coeffs))) is expected  # equal, not same
+
+
 @given(p=int_polys)
 @settings(max_examples=200)
 def test_pos_check_sound_on_samples(p):

@@ -106,5 +106,14 @@ def test_eps_quotient_geometric(n):
 
 
 def test_bad_parameter_rejected():
-    with pytest.raises(ValueError):
-        pell_pair(Poly([3]), 2)  # constant s: no pole, no Pell theory
+    for _ in range(3):  # on every call, not only before the first cache fill
+        with pytest.raises(ValueError):
+            pell_pair(Poly([3]), 2)  # constant s: no pole, no Pell theory
+
+
+def test_negative_index_after_positive():
+    s = 2 * T + 1
+    p = pell_pair(s, 5)
+    q = pell_pair(s, -5)  # conjugate branch, not the cached positive pair
+    assert q.f == p.f and q.g == -p.g and q.n == -5
+    assert pell_pair(s, 5) == p and pell_pair(s, 5).g == p.g

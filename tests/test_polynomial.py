@@ -20,6 +20,7 @@ from diobench.polynomial import (
     resultant,
     resultant_mod_p,
     squarefree_decomposition,
+    sturm_count,
 )
 
 small_polys = st.builds(
@@ -125,6 +126,16 @@ def test_real_root_count():
     assert real_root_count((T - 1) * (T - 2) * (T * T + 1)) == 2
     assert real_root_count(Poly([1])) == 0
     assert real_root_count(T**3 - T) == 3
+
+
+@given(a=nonzero_rat_polys, b=nonzero_rat_polys, k=st.integers(2, 3))
+@example(a=T * T - 1, b=2 * T + 1, k=2)  # roots -1, 1 twice, -1/2 once
+@settings(max_examples=100, deadline=None)
+def test_real_root_count_agrees_with_sturm_count_at_bound(a, b, k):
+    # a^k * b has a repeated factor whenever a is nonconstant
+    for p in (a, a**k * b):
+        bound = cauchy_bound(p)
+        assert real_root_count(p) == sturm_count(p, -bound, bound)
 
 
 def test_cauchy_bound_contains_roots():

@@ -1,4 +1,6 @@
+import io
 import json
+from contextlib import redirect_stdout
 from importlib import resources
 from math import isqrt
 from pathlib import Path
@@ -80,6 +82,20 @@ def test_cli_pell_example(capsys):
     assert doc["result"]["g"] == "-1 + 4*T^2"
 
 
+def test_cli_parsed_values_do_not_leak(capsys):
+    """The parser is built once; a flag given in one call is not set in
+    the next."""
+    code, out = _run_cli(["--format", "json", "pell", "--s", "t", "--n", "3",
+                          "--check-laws"], capsys)
+    assert code == 0
+    assert {c["name"] for c in json.loads(out)["checks"]} == {
+        "identity", "degree-law", "divisibility-law"}
+    code, out = _run_cli(["--format", "json", "pell", "--s", "t", "--n", "3"],
+                         capsys)
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["identity"]
+
+
 def test_cli_exit_codes(capsys):
     code, _ = _run_cli(["qform", "eisenstein", "--poly", "1+t+t^2",
                         "--p", "3"], capsys)
@@ -93,6 +109,7 @@ def test_cli_exit_codes(capsys):
     ["defsys", "exp"],
     ["qform", "report"],
     ["defsys", "singlefold-int", "--c", "1/0"],
+    ["cyclo", "forweak", "--poly", "1+t", "--d", "0"],
 ])
 def test_cli_bad_input_exits_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -121,6 +138,35 @@ def test_verify_all_quick_matches_golden(capsys):
                           "--profile", "quick", "--seed", "0"], capsys)
     assert code == 0
     assert out == golden.read_text()
+
+
+# CLI queries whose answers come through the Pos, Pell and five-squares
+# caches; their JSON output is recorded in golden/cli-queries-seed0.json.
+CLI_QUERIES = [
+    "pell --s t --n 5 --check-laws",
+    "pell --s 3*t+1 --n 4",
+    "par eval --n 7",
+    "par eval --n 42",
+    "par five-squares --poly 1+t^2",
+    "qform xi --f t^2+1 --real",
+]
+
+
+def cli_queries_json():
+    """The exit code and --format json output of each of CLI_QUERIES."""
+    runs = []
+    for query in CLI_QUERIES:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(["--format", "json"] + query.split())
+        runs.append({"query": query, "exit": code, "stdout": buf.getvalue()})
+    return json.dumps(runs, indent=2) + "\n"
+
+
+def test_cli_queries_match_golden():
+    """The cached Pos/Pell/five-squares paths answer as recorded."""
+    golden = Path(__file__).parent / "golden" / "cli-queries-seed0.json"
+    assert cli_queries_json() == golden.read_text()
 
 
 def test_verify_all_quick_deterministic(capsys):
