@@ -68,6 +68,8 @@ def cmd_pell(args):
     report.add("identity", pair.verify())
     if args.check_laws:
         bound = env_bound(args.bound)
+        if bound < 1:
+            raise ValueError(f"--check-laws needs a bound >= 1, got {bound}")
         ok = all(check_degree_law(s, n)["pass"]
                  for n in range(1, bound + 1))
         report.add("degree-law", ok, f"n <= {bound}")

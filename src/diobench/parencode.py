@@ -15,9 +15,15 @@ from diobench.pellpairs import pell_pair
 from diobench.polynomial import (
     Poly,
     T,
+    chain_root_count,
     real_root_count,
     squarefree_decomposition,
+    sturm_chain,
 )
+
+# Small integers where Pos looks for a negative value before any Sturm work,
+# and where the five-squares search bounds its remainders and parts.
+SAMPLE_POINTS = (0, 1, -1, 2, -2, 3, -3)
 
 # -- theta: positive integers <-> integer polynomials -------------------------
 
@@ -71,7 +77,9 @@ def pos_check(F):
 
     True iff F = 0, or deg F is even with positive lead and no real root of
     odd multiplicity (squarefree factors of odd multiplicity must have Sturm
-    count 0).  Each polynomial is decided once.
+    count 0).  A negative value at one of SAMPLE_POINTS refutes Pos first;
+    otherwise one Sturm chain of F decides it unless F has a repeated factor
+    and a real root.  Each polynomial is decided once.
     """
     return _pos_cached(Poly.coerce(F).coeffs)
 
@@ -85,6 +93,14 @@ def _pos_cached(coeffs):
         return False
     if F.degree == 0:
         return True
+    if any(F(x) < 0 for x in SAMPLE_POINTS):
+        return False
+    chain = sturm_chain(F)
+    if chain_root_count(chain) == 0:
+        return True
+    if chain[-1].degree == 0:
+        return False  # squarefree, so a real root is a sign change
+    # a repeated factor: only roots of odd multiplicity change the sign
     for factor, mult in squarefree_decomposition(F):
         if mult % 2 and real_root_count(factor) > 0:
             return False
@@ -106,19 +122,6 @@ def five_squares_verify(g, F, parts):
     return acc == g * g * F
 
 
-def _canon(p):
-    """Sign-normalized copy (leading coefficient > 0)."""
-    if not p.is_zero() and p.lead() < 0:
-        return -p
-    return p
-
-
-def _key(p):
-    # total order: degree first, then coefficients from the top down
-    cs = _canon(p).coeffs
-    return (len(cs), tuple(reversed(cs)))
-
-
 def _decompositions(G, k, limit):
     """Canonical non-increasing 5-tuples of integer polynomials of degree
     <= k (k <= 2) whose squares sum to G.
@@ -131,7 +134,6 @@ def _decompositions(G, k, limit):
     if k > 2:
         raise ValueError("search restricted to parts of degree <= 2")
     results = []
-    check_pts = (0, 1, -1, 2, -2, 3, -3)
 
     def rec(R, prefix, prev_key):
         if len(results) >= limit:
@@ -144,7 +146,7 @@ def _decompositions(G, k, limit):
         if R.degree % 2 or R.lead() < 0:
             return
         vals = {}
-        for x in check_pts:
+        for x in SAMPLE_POINTS:
             rx = R(x)
             if rx < 0:
                 return
@@ -162,13 +164,7 @@ def _decompositions(G, k, limit):
         a_lo = 0
         while m * a_lo * a_lo < top:
             a_lo += 1
-        if k == 2:
-            a_rng = range(a_max, a_lo - 1, -1)
-        elif k == 1:
-            a_rng = range(0, 1)
-            b_lo = a_lo
-        else:
-            a_rng = range(0, 1)
+        a_rng = range(a_max, a_lo - 1, -1) if k == 2 else range(0, 1)
         for a in a_rng:
             for b in range(-b_max, b_max + 1):
                 if a == 0 and b < 0:
@@ -180,14 +176,21 @@ def _decompositions(G, k, limit):
                         continue
                     if k == 0 and c < a_lo:
                         continue
-                    cand = Poly([c, b, a])
-                    key = _key(cand)
+                    # the sign rules leave a positive lead, so the part's
+                    # key (degree, then coefficients from the top down) is
+                    # read off (a, b, c) without normalizing its sign
+                    if a:
+                        key = (3, (a, b, c))
+                    elif b:
+                        key = (2, (b, c))
+                    else:
+                        key = (1, (c,))
                     if key > prev_key:
                         continue
-                    if any(
-                        cand(x) ** 2 > rx for x, rx in vals.items()
-                    ):
+                    if any((c + b * x + a * x * x) ** 2 > rx
+                           for x, rx in vals.items()):
                         continue
+                    cand = Poly([c, b, a])
                     rec(R - cand * cand, prefix + [cand], key)
                     if len(results) >= limit:
                         return
@@ -210,6 +213,8 @@ def five_squares_search(F, g_max=4, witness_limit=50):
     F = Poly.coerce(F)
     if (F.degree or 0) > 4:
         raise ValueError("search restricted to deg F <= 4")
+    if not all(isinstance(c, int) for c in F.coeffs):
+        raise ValueError("search restricted to integer polynomials")
     res = dict(_five_squares_cached(F.coeffs, g_max, witness_limit))
     if "parts" in res:
         res["parts"] = list(res["parts"])

@@ -427,10 +427,18 @@ def real_root_count(p):
     p = Poly.coerce(p)
     if p.is_zero():
         raise ValueError("zero polynomial has infinitely many roots")
-    # Every root lies in (-B, B) for the Cauchy bound B, so the count on
-    # (-B, B] equals V(-oo) - V(+oo), read from each member's lead and degree
-    # (a nonzero constant is its own chain and counts 0).
-    chain = sturm_chain(p)
+    return chain_root_count(sturm_chain(p))
+
+
+def chain_root_count(chain):
+    """Number of distinct real roots of chain[0], given its Sturm chain.
+
+    Every root lies in (-B, B) for the Cauchy bound B, so the count on
+    (-B, B] equals V(-oo) - V(+oo), read from each member's lead and degree
+    (a nonzero constant is its own chain and counts 0).  This holds for a
+    non-squarefree chain[0] too: dividing the chain by its last member,
+    gcd(p, p'), changes no sign count away from the roots.
+    """
     at_pos = [q.lead() for q in chain]
     at_neg = [-c if q.degree % 2 else c for q, c in zip(chain, at_pos)]
     return _sign_changes(at_neg) - _sign_changes(at_pos)

@@ -9,6 +9,7 @@ refusals) together with the witness tuples found and a fold count.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from diobench.intarith import FULL_RATIONALS, RingDescriptor
 from diobench.pellpairs import epsilon, pell_pair
@@ -140,24 +141,20 @@ def singlefold_int(c, bound=50, desk=DESK):
     Acceptance: some n in [0, bound] and sign with
     (eps - 1) | (q_n -+ c) where q_n = (eps^n - 1)/(eps - 1); the witness is
     (n, u, w) with eps^n = u - sqrt(a^2-1) w.  Exactly one witness exists per
-    integer |c| (single-fold); non-integers are refuted to the bound.
+    integer |c| (single-fold); non-integers are refuted to the bound.  The
+    q_n ladder is built once per (a, bound) and tested against every c.
     """
     c = _as_element(c)
     eps = desk.eps()
-    one = QuadExt(1, 0, eps.D)
-    den = eps - one
+    den = eps - QuadExt(1, 0, eps.D)
     witnesses = []
     if c.is_constant():
         cv = Fraction(c.constant())
-        acc = one  # eps^n
-        q = QuadExt(0, 0, eps.D)  # q_n
-        for n in range(bound + 1):
+        for n, q in enumerate(_q_ladder(desk.a.coeffs, bound)):
             for sign in (1, -1):
                 if den.divides(q - _quad_const(sign * cv, eps.D)):
                     pair = pell_pair(desk.a, n)
                     witnesses.append((n, sign, pair.f, pair.g))
-            q = q + acc
-            acc = acc * eps
     # dedup: n = 0 hits both signs for c = 0 but is one witness
     seen, unique = set(), []
     for w in witnesses:
@@ -174,6 +171,20 @@ def singlefold_int(c, bound=50, desk=DESK):
     )
 
 
+@lru_cache(maxsize=1 << 6)
+def _q_ladder(a_coeffs, bound):
+    """q_0, ..., q_bound with q_n = (eps^n - 1)/(eps - 1) for eps at a."""
+    eps = epsilon(Poly(a_coeffs))
+    acc = QuadExt(1, 0, eps.D)  # eps^n
+    q = QuadExt(0, 0, eps.D)  # q_n
+    ladder = []
+    for _ in range(bound + 1):
+        ladder.append(q)
+        q = q + acc
+        acc = acc * eps
+    return tuple(ladder)
+
+
 def exp_system(b, c, d, bound=None, desk=DESK):
     """|c| = |b|^|d| for integers, single-fold up to witness values.
 
@@ -181,30 +192,25 @@ def exp_system(b, c, d, bound=None, desk=DESK):
     (eps - 1)^2 | (d*(eps-1) + s2*(eps^n - 1)); n must equal |d| for the
     second relation to hold, so the search is direct.  Witnesses are
     deduplicated by the underlying ring values (u, w, x, y), which folds the
-    spurious sign ambiguity at c = 0 or d = 0.
+    spurious sign ambiguity at c = 0 or d = 0.  The second relation depends
+    on d alone and is built once per (a, d).
     """
     b, c, d = int(b), int(c), int(d)
     if b == 0:
         raise ValueError("base b must be nonzero")
     eps = desk.eps()
-    one = QuadExt(1, 0, eps.D)
     n = abs(d)
     if bound is not None and n > bound:
         return WitnessReport("exp", (b, c, d), "refuted-to-bound", bound=bound)
-    eps_n = eps**n
+    eps_n, d_quots = _exp_d_relation(desk.a.coeffs, d)
     den1 = eps - _quad_const(b, eps.D)
-    den2 = (eps - one) * (eps - one)
     witnesses = []
     for s1 in (1, -1):
         num1 = eps_n + _quad_const(s1 * c, eps.D)
         if not den1.divides(num1):
             continue
         x_quot = num1.exact_div(den1)
-        for s2 in (1, -1):
-            num2 = d * (eps - one) + s2 * (eps_n - one)
-            if not den2.divides(num2):
-                continue
-            y_quot = num2.exact_div(den2)
+        for s2, y_quot in d_quots:
             witnesses.append(
                 (n, s1, s2, eps_n.u, eps_n.w, x_quot.u, x_quot.w,
                  y_quot.u, y_quot.w)
@@ -219,6 +225,23 @@ def exp_system(b, c, d, bound=None, desk=DESK):
     if unique:
         return WitnessReport("exp", (b, c, d), "accepted", witnesses=unique)
     return WitnessReport("exp", (b, c, d), "refuted")
+
+
+@lru_cache(maxsize=1 << 6)
+def _exp_d_relation(a_coeffs, d):
+    """The part of exp_system that depends on d alone, for eps at a: eps^|d|
+    and each (s2, y) with (eps - 1)^2 y = d(eps - 1) + s2(eps^|d| - 1)."""
+    eps = epsilon(Poly(a_coeffs))
+    one = QuadExt(1, 0, eps.D)
+    eps_n = eps ** abs(d)
+    e1 = eps - one
+    den2 = e1 * e1
+    quots = []
+    for s2 in (1, -1):
+        num2 = d * e1 + s2 * (eps_n - one)
+        if den2.divides(num2):
+            quots.append((s2, num2.exact_div(den2)))
+    return eps_n, tuple(quots)
 
 
 # -- odd-integer system (seven relations at s = a*x) --------------------------

@@ -1,7 +1,12 @@
+import json
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diobench import parencode
 from diobench.parencode import (
     ParTuple,
     chebyshev_Y,
@@ -15,7 +20,12 @@ from diobench.parencode import (
     theta,
     theta_inverse,
 )
-from diobench.polynomial import Poly, T
+from diobench.polynomial import (
+    Poly,
+    T,
+    real_root_count,
+    squarefree_decomposition,
+)
 
 int_polys = st.builds(
     Poly, st.lists(st.integers(-8, 8), min_size=0, max_size=5)
@@ -74,12 +84,53 @@ def test_pos_check_repeated_call_agrees():
         assert pos_check(Poly(list(F.coeffs))) is expected  # equal, not same
 
 
+def _pos_reference(F):
+    """Pos the long way: Yun's decomposition, then a Sturm count for each
+    factor of odd multiplicity."""
+    if F.is_zero():
+        return True
+    if F.degree % 2 or F.lead() < 0:
+        return False
+    return all(real_root_count(f) == 0
+               for f, m in squarefree_decomposition(F) if m % 2)
+
+
+coeffs = st.one_of(st.integers(-6, 6),
+                   st.fractions(-6, 6, max_denominator=4))
+small_polys = st.builds(Poly, st.lists(coeffs, min_size=1, max_size=4))
+
+
+@given(a=small_polys, b=small_polys, shape=st.sampled_from((1, 2, 3)))
+@settings(max_examples=200, deadline=None)
+def test_pos_check_agrees_with_reference(a, b, shape):
+    # a, a^2 b and a^3 b^2: squarefree, and repeated factors of even and
+    # odd multiplicity
+    F = a if shape == 1 else a ** shape * b ** (shape - 1)
+    assert pos_check(F) is _pos_reference(F)
+
+
+@pytest.mark.parametrize("F, expected, yun", [
+    ((10 * T - 1) * (10 * T - 2), False, False),
+    ((10 * T - 1) ** 3 * (10 * T - 2), False, True),
+    ((10 * T - 1) ** 2 * (T * T + 1), True, True),
+])
+def test_pos_check_past_the_sample_points(F, expected, yun, monkeypatch):
+    """Positive at every sample point, so the Sturm chain decides; only a
+    repeated factor with a real root reaches Yun's decomposition."""
+    assert all(F(x) > 0 for x in parencode.SAMPLE_POINTS)
+    calls = []
+    real = parencode.squarefree_decomposition
+    monkeypatch.setattr(parencode, "squarefree_decomposition",
+                        lambda p: calls.append(p) or real(p))
+    assert parencode._pos_cached.__wrapped__(F.coeffs) is expected
+    assert bool(calls) is yun
+    assert pos_check(F) is expected
+
+
 @given(p=int_polys)
 @settings(max_examples=200)
 def test_pos_check_sound_on_samples(p):
     if pos_check(p):
-        from fractions import Fraction
-
         for i in range(-40, 41):
             assert p(Fraction(i, 4)) >= 0
 
@@ -100,6 +151,50 @@ def test_five_squares_verify_and_search():
         five_squares_search(T**6 + 1)
     with pytest.raises(ValueError):
         five_squares_verify(1, T, [T])
+
+
+def test_five_squares_search_rejects_non_integer_polys():
+    for F in (Poly([Fraction(1, 2)]), T * T + Fraction(1, 4),
+              Poly([Fraction(-1, 2)])):  # not Pos either
+        with pytest.raises(ValueError, match="integer"):
+            five_squares_search(F)
+
+
+# Targets of the five-squares golden file: the distinct Par targets of
+# degree <= 4 among n = 1..60, then a few by hand (1000 reaches the witness
+# limit, the quadratics have several canonical orders of their parts,
+# T^2 - 2 is not Pos).
+FIVE_SQUARES_HAND_TARGETS = [
+    Poly([7]), T * T + 1, 2 * T * T + 3, Poly([1000]), T**4 + T * T + 20,
+    7 * T**4 + 1, 10 * T * T + 10, 2 * T * T + 50, T * T - 2,
+]
+
+
+def five_squares_targets():
+    targets = []
+    for n in range(1, 61):
+        base = parencode._par_core(n)[3]
+        target = base + minimal_c(n)
+        if target.degree <= 4 and target not in targets:
+            targets.append(target)
+    return targets + FIVE_SQUARES_HAND_TARGETS
+
+
+def five_squares_json():
+    """The five_squares_search result of each target, parts as text."""
+    runs = []
+    for F in five_squares_targets():
+        res = five_squares_search(F)
+        if "parts" in res:
+            res["parts"] = [str(p) for p in res["parts"]]
+        runs.append(dict(res, target=str(F)))
+    return json.dumps(runs, indent=2, sort_keys=True) + "\n"
+
+
+def test_five_squares_match_golden():
+    """Statuses, g, first decompositions and counts stay as recorded."""
+    golden = Path(__file__).parent / "golden" / "five-squares-seed0.json"
+    assert five_squares_json() == golden.read_text()
 
 
 def test_five_squares_search_results_are_independent():

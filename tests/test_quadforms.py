@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diobench import cli, quadforms
 from diobench.polynomial import Poly, RationalFunction, T, real_root_count
 from diobench.quadforms import (
     REAL,
@@ -152,3 +154,17 @@ def test_even_order_gate_biconditional(num, den):
     out = even_order_gate(RationalFunction(num, den))
     assert out["pass"]
     assert out["g_integral"] == out["h_even"]
+
+
+def test_even_order_gate_can_fail(monkeypatch, capsys):
+    """With ord h shifted by one the two sides of the biconditional
+    disagree: the gate reports fail and the CLI exits 1."""
+    h = RationalFunction(T**3 + T**2)  # T g^2 + T^2 at g = T
+    real = quadforms._inf_order
+    monkeypatch.setattr(quadforms, "_inf_order",
+                        lambda r: real(r) + (1 if r == h else 0))
+    assert even_order_gate(T)["pass"] is False
+    assert cli.main(["--format", "json", "qform", "gate", "--g", "t"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("parity-biconditional", "fail")]

@@ -110,9 +110,20 @@ def test_cli_exit_codes(capsys):
     ["qform", "report"],
     ["defsys", "singlefold-int", "--c", "1/0"],
     ["cyclo", "forweak", "--poly", "1+t", "--d", "0"],
+    ["par", "five-squares", "--poly", "1/2"],
+    ["par", "five-squares", "--poly", "1/4+t^2"],
+    ["pell", "--s", "t", "--n", "3", "--check-laws", "--bound", "0"],
 ])
 def test_cli_bad_input_exits_2(argv, capsys):
     assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_pell_laws_reject_empty_env_bound(capsys, monkeypatch):
+    """A bound < 1 from WORKBENCH_BOUND would check the laws over an empty
+    range, so it is bad input too."""
+    monkeypatch.setenv("WORKBENCH_BOUND", "0")
+    assert cli.main(["pell", "--s", "t", "--n", "3", "--check-laws"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

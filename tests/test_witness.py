@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diobench import witness
 from diobench.intarith import localized_at
 from diobench.polynomial import Poly, T
 from diobench.witness import (
+    DESK,
+    DeskInstantiation,
     combine_and,
     constants_system,
     exp_system,
@@ -83,6 +86,29 @@ def test_exp_system_examples():
 @settings(max_examples=150)
 def test_exp_system_matches_definition(b, d, c):
     assert exp_system(b, c, d).accepted == (abs(c) == abs(b) ** abs(d))
+
+
+def _eps_answers(desk):
+    return (
+        [singlefold_int(c, bound=8, desk=desk).to_dict() for c in (0, 3, -2)],
+        [exp_system(b, c, d, desk=desk).to_dict()
+         for b, c, d in ((2, 8, 3), (2, 7, 3), (3, 1, 0), (-2, 4, -2))],
+    )
+
+
+def test_eps_systems_answer_per_desk():
+    """The eps-power caches are keyed by the desk's a: each desk gets its
+    own answers, whichever desk fills the caches first."""
+    other = DeskInstantiation(a=2 * T)
+    runs = []
+    for order in ((DESK, other), (other, DESK)):
+        witness._q_ladder.cache_clear()
+        witness._exp_d_relation.cache_clear()
+        runs.append({desk.a: _eps_answers(desk) for desk in order})
+    assert runs[0] == runs[1]
+    assert runs[0][DESK.a] != runs[0][other.a]
+    assert [r["verdict"] for r in runs[0][other.a][1]] == [
+        "accepted", "refuted", "accepted", "accepted"]
 
 
 def test_odd_integer_constructor():
