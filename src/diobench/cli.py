@@ -93,7 +93,7 @@ def cmd_defsys(args):
         rep = wit.singlefold_int(_num_or_poly(args.c), bound=bound)
     elif args.system == "exp":
         _require(args, what, "base", "result", "exp")
-        rep = wit.exp_system(args.base, args.result, args.exp)
+        rep = wit.exp_system(args.base, args.result, args.exp, bound=bound)
     elif args.system == "odd-int":
         if args.r is not None:
             rep = wit.odd_integer_system(r=args.r, bound=bound)
@@ -203,6 +203,8 @@ def cmd_qform(args):
     elif args.op == "gate":
         _require(args, what, "g")
         g = _poly(args.g)
+        if g.is_zero():
+            raise ValueError("qform gate needs a nonzero --g")
         report.inputs["g"] = format_poly(g)
         out = qf.even_order_gate(g)
         report.result = {"ord_g": str(out["ord_g"]),

@@ -17,7 +17,13 @@ from diobench.intarith import (
     ord_int,
     radical,
 )
-from diobench.polynomial import ONE, Poly, resultant
+from diobench.polynomial import (
+    ONE,
+    Poly,
+    poly_mod_p_same_degree,
+    resultant,
+    resultant_fp,
+)
 
 CYCLO_MAX = 10**4
 
@@ -31,6 +37,12 @@ def cyclotomic(n):
     for d in sorted(_divisors(n))[:-1]:
         num = num.exact_div(cyclotomic(d))
     return num
+
+
+@lru_cache(maxsize=1 << 10)
+def _cyclotomic_mod_p(n, p):
+    """Phi_n mod p as a tuple of ints; ValueError if the degree drops."""
+    return tuple(poly_mod_p_same_degree(cyclotomic(n), p))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -327,13 +339,9 @@ def appendix_checks(n_max=200, p_max=50, grid=60):
     for m in range(1, grid + 1):
         for r in range(m + 1, grid + 1):
             for p in (2, 3, 5, 7, 11, 13):
-                try:
-                    from diobench.polynomial import resultant_mod_p
-                    rp = resultant_mod_p(cyclotomic(m), cyclotomic(r), p)
-                    divisible = rp == 0
-                except ValueError:
-                    divisible = resultant(cyclotomic(m), cyclotomic(r)) % p == 0
-                if not divisible or m % p == 0:
+                rp = resultant_fp(_cyclotomic_mod_p(m, p),
+                                  _cyclotomic_mod_p(r, p), p)
+                if rp != 0 or m % p == 0:
                     continue  # hypothesis: p coprime to the root index
                 ok = False
                 a = 0

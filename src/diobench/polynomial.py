@@ -341,23 +341,35 @@ def resultant(a, b):
 
 
 def poly_mod_p(a, p):
-    """Coefficient list of a mod p, ascending, trimmed.  Requires p-integral coefficients."""
+    """Coefficient list of a mod p, ascending, trimmed.  Requires integer
+    coefficients."""
     out = []
     for c in Poly.coerce(a).coeffs:
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            raise ValueError(f"coefficient {c} not p-integral at {p}")
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
+        if not isinstance(c, int):
+            raise ValueError(f"coefficient {c} is not an integer")
+        out.append(c % p)
     while out and out[-1] == 0:
         out.pop()
     return out
 
 
+def poly_mod_p_same_degree(a, p):
+    """poly_mod_p(a, p), raising ValueError if the degree drops mod p."""
+    fa = poly_mod_p(a, p)
+    if len(fa) - 1 != Poly.coerce(a).degree:
+        raise ValueError("leading coefficient vanishes mod p")
+    return fa
+
+
 def resultant_mod_p(a, b, p):
     """Res(a mod p, b mod p) in F_p; degrees must not drop mod p."""
-    fa, fb = poly_mod_p(a, p), poly_mod_p(b, p)
-    if len(fa) - 1 != a.degree or len(fb) - 1 != b.degree:
-        raise ValueError("leading coefficient vanishes mod p")
+    return resultant_fp(poly_mod_p_same_degree(a, p),
+                        poly_mod_p_same_degree(b, p), p)
+
+
+def resultant_fp(fa, fb, p):
+    """Res(fa, fb) in F_p for ascending coefficient sequences over F_p with
+    nonzero leading entries."""
     res = 1
     while True:
         if not fb:
@@ -688,14 +700,23 @@ class QuadExt:
             n >>= 1
         return result
 
+    def residue(self, x):
+        """The components (u, w) of x * conj(self), each reduced modulo
+        N(self).  The map is Q-linear in x, and self | x exactly when both
+        components are zero."""
+        self._check(x)
+        nm = self.norm()
+        if nm.is_zero():
+            raise ValueError("residue modulo a zero norm")
+        prod = x * self.conj()
+        return prod.u % nm, prod.w % nm
+
     def divides(self, other):
         """Whether self | other in Q[T][sqrt(D)] (exact component division)."""
         self._check(other)
-        nm = self.norm()
-        if nm.is_zero():
+        if self.norm().is_zero():
             return other.u.is_zero() and other.w.is_zero()
-        prod = other * self.conj()
-        return nm.divides(prod.u) and nm.divides(prod.w)
+        return self.residue(other) == (ZERO, ZERO)
 
     def exact_div(self, other):
         """self / other, assuming divisibility."""

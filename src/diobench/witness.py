@@ -141,18 +141,22 @@ def singlefold_int(c, bound=50, desk=DESK):
     Acceptance: some n in [0, bound] and sign with
     (eps - 1) | (q_n -+ c) where q_n = (eps^n - 1)/(eps - 1); the witness is
     (n, u, w) with eps^n = u - sqrt(a^2-1) w.  Exactly one witness exists per
-    integer |c| (single-fold); non-integers are refuted to the bound.  The
-    q_n ladder is built once per (a, bound) and tested against every c.
+    integer |c| (single-fold); non-integers are refuted to the bound.
+    Divisibility is read off residues: with res(x) the components of
+    x * conj(eps - 1) reduced modulo N(eps - 1), a Q-linear map, the test
+    holds exactly when res(q_n) = +-c * res(1).  The residues of 1 and of
+    each q_n are computed once per (a, bound) and tested against every c.
     """
     c = _as_element(c)
-    eps = desk.eps()
-    den = eps - QuadExt(1, 0, eps.D)
     witnesses = []
     if c.is_constant():
         cv = Fraction(c.constant())
-        for n, q in enumerate(_q_ladder(desk.a.coeffs, bound)):
-            for sign in (1, -1):
-                if den.divides(q - _quad_const(sign * cv, eps.D)):
+        (one_u, one_w), ladder = _q_ladder(desk.a.coeffs, bound)
+        targets = [(sign, (one_u * (sign * cv), one_w * (sign * cv)))
+                   for sign in (1, -1)]
+        for n, res_q in enumerate(ladder):
+            for sign, target in targets:
+                if res_q == target:
                     pair = pell_pair(desk.a, n)
                     witnesses.append((n, sign, pair.f, pair.g))
     # dedup: n = 0 hits both signs for c = 0 but is one witness
@@ -173,16 +177,18 @@ def singlefold_int(c, bound=50, desk=DESK):
 
 @lru_cache(maxsize=1 << 6)
 def _q_ladder(a_coeffs, bound):
-    """q_0, ..., q_bound with q_n = (eps^n - 1)/(eps - 1) for eps at a."""
+    """res(1) and (res(q_0), ..., res(q_bound)) for eps at a, where
+    q_n = (eps^n - 1)/(eps - 1) and res is (eps - 1).residue."""
     eps = epsilon(Poly(a_coeffs))
+    den = eps - QuadExt(1, 0, eps.D)
     acc = QuadExt(1, 0, eps.D)  # eps^n
     q = QuadExt(0, 0, eps.D)  # q_n
     ladder = []
     for _ in range(bound + 1):
-        ladder.append(q)
+        ladder.append(den.residue(q))
         q = q + acc
         acc = acc * eps
-    return tuple(ladder)
+    return den.residue(QuadExt(1, 0, eps.D)), tuple(ladder)
 
 
 def exp_system(b, c, d, bound=None, desk=DESK):

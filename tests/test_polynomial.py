@@ -15,6 +15,7 @@ from diobench.polynomial import (
     format_poly,
     parse_poly,
     poly_gcd,
+    poly_mod_p,
     rational_roots,
     real_root_count,
     resultant,
@@ -181,6 +182,62 @@ def test_quadext_arithmetic():
     assert eps**-1 == eps.conj()  # norm-1 inversion
     assert (eps**5).exact_div(eps**2) == eps**3
     assert (eps - QuadExt(1, 0, D)).divides(eps**4 - QuadExt(1, 0, D))
+
+
+D1 = T * T - 1
+EPS = QuadExt(T, -1, D1)  # the eps at a = T
+EPS2 = QuadExt(2 * T, -1, 4 * T * T - 1)  # the eps at a = 2T
+RESIDUE_DIVISORS = [
+    EPS - QuadExt(1, 0, D1),
+    EPS - QuadExt(3, 0, D1),
+    EPS2 - QuadExt(1, 0, EPS2.D),
+    EPS2,  # a unit: every residue is zero
+]
+quad_coeffs = st.lists(
+    st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4)),
+    min_size=0, max_size=4,
+)
+
+
+def _quad(den, u, w):
+    return QuadExt(Poly(u), Poly(w), den.D)
+
+
+@given(k=st.integers(0, len(RESIDUE_DIVISORS) - 1), xu=quad_coeffs,
+       xw=quad_coeffs, yu=quad_coeffs, yw=quad_coeffs,
+       c=st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=4)))
+@settings(max_examples=150, deadline=None)
+def test_quadext_residue_is_linear_and_decides_division(k, xu, xw, yu, yw, c):
+    den = RESIDUE_DIVISORS[k]
+    x, y = _quad(den, xu, xw), _quad(den, yu, yw)
+    rx, ry = den.residue(x), den.residue(y)
+    assert den.residue(x + c * y) == (rx[0] + c * ry[0], rx[1] + c * ry[1])
+    assert den.residue(den * y) == (Poly(), Poly())
+    nm = den.norm()
+    for z in (x, den * y, den * y + c * x):
+        zero = den.residue(z) == (Poly(), Poly())
+        prod = z * den.conj()  # reference: the norm divides both components
+        assert zero == (nm.divides(prod.u) and nm.divides(prod.w))
+        assert den.divides(z) == zero
+        if zero:
+            assert den * z.exact_div(den) == z
+
+
+def test_quadext_residue_needs_nonzero_norm():
+    null = QuadExt(T, 1, T * T)  # norm T^2 - T^2 = 0
+    with pytest.raises(ValueError):
+        null.residue(QuadExt(1, 0, T * T))
+    assert null.divides(QuadExt(0, 0, T * T))
+    assert not null.divides(QuadExt(1, 0, T * T))
+
+
+def test_poly_mod_p_takes_integers_only():
+    assert poly_mod_p(T * T - 7 * T + 3, 5) == [3, 3, 1]
+    assert poly_mod_p(5 * T + 10, 5) == []
+    with pytest.raises(ValueError):
+        poly_mod_p(Poly([Fraction(1, 2), 1]), 5)
+    with pytest.raises(ValueError):
+        resultant_mod_p(5 * T * T + 1, T - 1, 5)  # the degree drops
 
 
 def test_rational_function():

@@ -113,6 +113,7 @@ def test_cli_exit_codes(capsys):
     ["par", "five-squares", "--poly", "1/2"],
     ["par", "five-squares", "--poly", "1/4+t^2"],
     ["pell", "--s", "t", "--n", "3", "--check-laws", "--bound", "0"],
+    ["qform", "gate", "--g", "0"],
 ])
 def test_cli_bad_input_exits_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -140,6 +141,35 @@ def test_workbench_bound_env(capsys, monkeypatch):
     doc = json.loads(out)
     # bound 0 cannot reach the witness at n = 3
     assert "refuted-to-bound" in json.dumps(doc)
+
+
+def test_defsys_exp_honours_bound(capsys, monkeypatch):
+    """|exp| above the bound, from WORKBENCH_BOUND or the default --bound,
+    answers refuted-to-bound and names the bound without building eps^|exp|."""
+    monkeypatch.setenv("WORKBENCH_BOUND", "2")
+    code, out = _run_cli(["--format", "json", "defsys", "exp", "--base", "2",
+                          "--exp", "3", "--result", "8"], capsys)
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert (result["verdict"], result["bound"]) == ("refuted-to-bound", 2)
+    monkeypatch.delenv("WORKBENCH_BOUND")
+    code, out = _run_cli(["--format", "json", "defsys", "exp", "--base", "2",
+                          "--exp", "2000", "--result", "8"], capsys)
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert (result["verdict"], result["bound"]) == ("refuted-to-bound", 50)
+    code, out = _run_cli(["--format", "json", "defsys", "exp", "--base", "2",
+                          "--exp", "-3", "--result", "8"], capsys)
+    assert json.loads(out)["result"]["verdict"] == "accepted"
+
+
+def test_cyclo_appendix_matches_golden(capsys):
+    """The appendix records (divisibility, clause-2 counterexamples and
+    measured resultants) stay byte-identical to the recorded ones."""
+    golden = Path(__file__).parent / "golden" / "cyclo-appendix.json"
+    code, out = _run_cli(["--format", "json", "cyclo", "appendix"], capsys)
+    assert code == 0
+    assert out == golden.read_text()
 
 
 def test_verify_all_quick_matches_golden(capsys):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from diobench import witness
 from diobench.intarith import localized_at
-from diobench.polynomial import Poly, T
+from diobench.pellpairs import epsilon
+from diobench.polynomial import Poly, QuadExt, T
 from diobench.witness import (
     DESK,
     DeskInstantiation,
@@ -58,6 +59,36 @@ def test_singlefold_int_accepts_each_integer_once(c):
     assert rep.accepted and rep.fold_count == 1
     n, sign, f, g = rep.witnesses[0]
     assert n == abs(c)
+
+
+def _singlefold_reference(c, bound, a):
+    """singlefold_int by its definition: q_n = (eps^n - 1)/(eps - 1) built
+    for each n, then (eps - 1) | (q_n -+ c) tested directly."""
+    eps = epsilon(a)
+    one = QuadExt(1, 0, eps.D)
+    den = eps - one
+    found = []
+    for n in range(bound + 1):
+        power = eps**n  # u - sqrt(a^2 - 1) * g
+        q = (power - one).exact_div(den)
+        for sign in (1, -1):
+            if den.divides(q - sign * c):
+                key = (n, power.u, -power.w)
+                if key not in [(w[0], w[2], w[3]) for w in found]:
+                    found.append((n, sign, power.u, -power.w))
+    return found
+
+
+@pytest.mark.parametrize("a", [T, 2 * T])
+@pytest.mark.parametrize("bound", [8, 50])
+def test_singlefold_int_matches_reference(a, bound):
+    desk = DeskInstantiation(a=a)
+    for c in [*range(-6, 7), Fraction(1, 2), Fraction(-7, 4), Fraction(3, 2)]:
+        rep = singlefold_int(c, bound=bound, desk=desk)
+        ref = _singlefold_reference(c, bound, a)
+        assert rep.witnesses == ref, c
+        assert rep.verdict == ("accepted" if ref else "refuted-to-bound")
+        assert rep.bound == bound
 
 
 def test_singlefold_int_refutes_non_integers():
