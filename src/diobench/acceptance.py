@@ -1,69 +1,66 @@
 """The thirteen acceptance criteria of the workbench, runnable one by one
 or as a suite (the `verify-all` subcommand and tests/test_acceptance.py).
 
+CRITERIA is the one table of them: each row names the check, the function
+and its keyword arguments at the `quick` and `full` profiles.  A criterion
+returns (status, details); `run_criterion` wraps that in the named Check.
+
 Every criterion is exact (tolerance zero).  Two report measured data next
 to the pass/fail core: the non-negativity gadget (the d = -1 anomaly) and
 the approximation point (on-index valuations for m >= 3).
 """
 
 import random
-from math import gcd, isqrt
+from fractions import Fraction
+from math import gcd
 
 from diobench import cyclotomic as cyc
 from diobench import parencode as pe
 from diobench import quadforms as qf
 from diobench import witness as wit
-from diobench.intarith import euler_phi, factorize, four_squares, is_prime
+from diobench.intarith import four_squares, is_prime
 from diobench.pellpairs import (
     check_degree_law,
     check_divisibility_law,
     pell_pair,
     recognize_solution,
 )
-from diobench.polynomial import Poly, T, factor_small
+from diobench.polynomial import Poly, T, factor_small, real_root_count
 from diobench.reports import Check, Report
 
 S_FAMILY = (T, 2 * T, T * T, 3 * T + 1)
 
 
-def pell_laws(bound=20):
+def pell_laws(bound):
     for s in S_FAMILY:
         for n in range(bound + 1):
             pair = pell_pair(s, n)  # identity asserted inside
             if not pair.verify():
-                return Check("01-pell-laws", False, f"identity at {s}, {n}")
+                return False, f"identity at {s}, {n}"
             if n >= 1 and not check_degree_law(s, n)["pass"]:
-                return Check("01-pell-laws", False, f"degree law {s}, {n}")
+                return False, f"degree law {s}, {n}"
             if recognize_solution(pair.f, pair.g, s) != (n, 1):
-                return Check("01-pell-laws", False, f"round trip {s}, {n}")
+                return False, f"round trip {s}, {n}"
         for ell in range(1, bound + 1):
             for n in range(1, bound + 1):
                 if not check_divisibility_law(ell, n, s)["pass"]:
-                    return Check(
-                        "01-pell-laws", False, f"divisibility {ell}, {n}, {s}"
-                    )
-    return Check("01-pell-laws", True,
-                 f"identity/degree/divisibility/round-trip, bound {bound}")
+                    return False, f"divisibility {ell}, {n}, {s}"
+    return True, f"identity/degree/divisibility/round-trip, bound {bound}"
 
 
-def singlefold_z(c_max=10, bound=50):
+def singlefold_z(c_max, bound):
     for c in range(-c_max, c_max + 1):
         rep = wit.singlefold_int(c, bound=bound)
         if not (rep.accepted and rep.fold_count == 1):
-            return Check("02-singlefold-z", False,
-                         f"c = {c}: {rep.verdict}, folds {rep.fold_count}")
-    from fractions import Fraction
-
+            return False, f"c = {c}: {rep.verdict}, folds {rep.fold_count}"
     for c in (Fraction(1, 2), T, T * T + 1):
         rep = wit.singlefold_int(c, bound=bound)
         if rep.verdict != "refuted-to-bound":
-            return Check("02-singlefold-z", False,
-                         f"c = {c} not refuted: {rep.verdict}")
-    return Check("02-singlefold-z", True,
-                 f"single witness for |c| <= {c_max}, bound {bound}")
+            return False, f"c = {c} not refuted: {rep.verdict}"
+    return True, f"single witness for |c| <= {c_max}, bound {bound}"
 
 
-def exp_grid(b_max=16, d_max=4, seed=0):
+def exp_grid(b_max, d_max, seed):
     rng = random.Random(seed)
     for b in range(-b_max, b_max + 1):
         if b == 0:
@@ -73,70 +70,62 @@ def exp_grid(b_max=16, d_max=4, seed=0):
             for c in (v, -v):
                 rep = wit.exp_system(b, c, d)
                 if not (rep.accepted and rep.fold_count == 1):
-                    return Check(
-                        "03-exp-system", False,
-                        f"({b}, {c}, {d}): {rep.verdict}, "
-                        f"folds {rep.fold_count}",
-                    )
+                    return False, (f"({b}, {c}, {d}): {rep.verdict}, "
+                                   f"folds {rep.fold_count}")
             # membership is |c| = |b|^|d|: nearby and random non-members
             bad = {v + 1, -v - 1, v - 1, rng.randrange(2, 10**6)}
             for c in bad:
                 if abs(c) == v:
                     continue
                 if wit.exp_system(b, c, d).accepted:
-                    return Check("03-exp-system", False,
-                                 f"({b}, {c}, {d}) wrongly accepted")
-    return Check("03-exp-system", True,
-                 f"grid |b| <= {b_max}, |d| <= {d_max}, single-fold")
+                    return False, f"({b}, {c}, {d}) wrongly accepted"
+    return True, f"grid |b| <= {b_max}, |d| <= {d_max}, single-fold"
 
 
-def odd_integers(r_max=9, bound=15):
+def odd_integers(r_max, bound):
     for r in range(-r_max, r_max + 1, 2):
         rep = wit.odd_integer_system(r=r)
         if not rep.accepted:
-            return Check("04-odd-integer", False, f"r = {r}: {rep.notes}")
+            return False, f"r = {r}: {rep.notes}"
     for a in (0, 2, -2, 4, T, T * T + 1):
         rep = wit.odd_integer_refute(a, bound=bound)
         if rep.accepted:
-            return Check("04-odd-integer", False, f"a = {a} wrongly accepted")
-    return Check("04-odd-integer", True,
-                 f"constructed odd |r| <= {r_max}; even/nonconstant refuted")
+            return False, f"a = {a} wrongly accepted"
+    return True, f"constructed odd |r| <= {r_max}; even/nonconstant refuted"
 
 
-def nonneg_set(d_max=20):
+def nonneg_set(d_max):
     accepted = [d for d in range(-d_max, d_max + 1)
                 if wit.nonneg_gadget(d).accepted]
     expected = [-1] + list(range(0, d_max + 1))
     status = "measured" if accepted == expected else "fail"
-    return Check(
-        "05-nonneg-gadget", status,
-        {"accepted_set": f"{{-1}} u [0, {d_max}]"
-         if accepted == expected else str(accepted),
-         "anomaly": "d = -1 accepted (vacuous modulus 1)"},
-    )
+    return status, {
+        "accepted_set": f"{{-1}} u [0, {d_max}]"
+        if accepted == expected else str(accepted),
+        "anomaly": "d = -1 accepted (vacuous modulus 1)",
+    }
 
 
-def cyclo_base(n_max=200, p_max=13):
+def cyclo_base(n_max, p_max):
     for n in range(1, n_max + 1):
         prod = Poly([1])
         for d in cyc._divisors(n):
             prod = prod * cyc.cyclotomic(d)
         if prod != Poly.monomial(n) - 1:
-            return Check("06-cyclo-base", False, f"product at n = {n}")
+            return False, f"product at n = {n}"
     for p in range(2, p_max + 1):
         if not is_prime(p):
             continue
         q = p
         while q <= n_max:
             if cyc.cyclotomic(q)(1) != p:
-                return Check("06-cyclo-base", False, f"Phi_{q}(1) != {p}")
+                return False, f"Phi_{q}(1) != {p}"
             q *= p
-    return Check("06-cyclo-base", True,
-                 f"prod Phi_d = T^n - 1 (n <= {n_max}); "
-                 f"Phi_p^s(1) = p (p <= {p_max})")
+    return True, (f"prod Phi_d = T^n - 1 (n <= {n_max}); "
+                  f"Phi_p^s(1) = p (p <= {p_max})")
 
 
-def forweak_random(count=200, seed=0):
+def forweak_random(count, seed):
     rng = random.Random(seed)
     for i in range(count):
         deg = rng.randrange(0, 7)
@@ -147,14 +136,12 @@ def forweak_random(count=200, seed=0):
         d = rng.randrange(1, 9)
         spec = cyc.forweak_approx(F, d)  # asserts F == M mod T^d
         if len(set(spec.indices)) != len(spec.indices):
-            return Check("07-forweak", False, f"repeated index, case {i}")
+            return False, f"repeated index, case {i}"
         for n in spec.indices:
             if cyc.special_form(n) is None:
-                return Check("07-forweak", False,
-                             f"index {n} not special-form, case {i}")
-    return Check("07-forweak", True,
-                 f"{count} random F: M in the special product set, "
-                 f"F == M mod T^d")
+                return False, f"index {n} not special-form, case {i}"
+    return True, (f"{count} random F: M in the special product set, "
+                  f"F == M mod T^d")
 
 
 APPROX_POOL = [(2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2),
@@ -186,24 +173,24 @@ def approx_points():
                         f"(p={rec['p']}, m={rec['m']}): "
                         f"measured {rec['measured']}, target {rec['target']}"
                     )
-    return Check("08-approx-point", "measured" if measured else "pass",
-                 {"on_index_m_ge_3": measured,
-                  "note": "off-index valuations 0 asserted; "
-                          "m in {1, 2} asserted equal to phi(m)"})
+    return "measured" if measured else "pass", {
+        "on_index_m_ge_3": measured,
+        "note": "off-index valuations 0 asserted; "
+                "m in {1, 2} asserted equal to phi(m)",
+    }
 
 
-def appendix_lemmas(n_max=200, grid=60):
+def appendix_lemmas(n_max, grid):
     rep = cyc.appendix_checks(n_max=n_max, grid=grid)
     if not rep["pass"]:
         bad = [r for r in rep["value_at_one"] + rep["divisibility"]
                if not r["pass"]]
-        return Check("09-appendix-lemmas", False, bad[:5])
-    return Check("09-appendix-lemmas", True,
-                 f"value at 1 (n <= {n_max}); "
-                 f"resultant divisibility grid {grid} x {grid}")
+        return False, bad[:5]
+    return True, (f"value at 1 (n <= {n_max}); "
+                  f"resultant divisibility grid {grid} x {grid}")
 
 
-def hilbert_grid(a_max=20, pairs=500, seed=0):
+def hilbert_grid(a_max, pairs, seed):
     places = [2, 3, 5, 7, 11, 13, qf.REAL]
     for a in range(-a_max, a_max + 1):
         if a == 0:
@@ -218,8 +205,7 @@ def hilbert_grid(a_max=20, pairs=500, seed=0):
                 else:
                     oracle = qf.local_solubility_oracle(a, b, v)
                 if sym != oracle:
-                    return Check("10-hilbert-symbols", False,
-                                 f"mismatch at ({a}, {b}, {v})")
+                    return False, f"mismatch at ({a}, {b}, {v})"
     rng = random.Random(seed)
     for _ in range(pairs):
         a = rng.randrange(-10**4, 10**4) or 1
@@ -228,11 +214,9 @@ def hilbert_grid(a_max=20, pairs=500, seed=0):
         for v in qf.relevant_places(a, b):
             prod *= qf.hilbert_symbol(a, b, v)
         if prod != 1:
-            return Check("10-hilbert-symbols", False,
-                         f"reciprocity fails at ({a}, {b})")
-    return Check("10-hilbert-symbols", True,
-                 f"closed form == oracle on [-{a_max}, {a_max}]^2 x 7 places;"
-                 f" reciprocity on {pairs} random pairs")
+            return False, f"reciprocity fails at ({a}, {b})"
+    return True, (f"closed form == oracle on [-{a_max}, {a_max}]^2 x 7 "
+                  f"places; reciprocity on {pairs} random pairs")
 
 
 XI_TEST_FORM = (2, 5)  # anisotropic exactly at 2 and 5
@@ -242,43 +226,37 @@ def xi_constructors():
     diag = qf.anisotropy_report(*XI_TEST_FORM)
     primes = [v for v in diag.anisotropic_places if v != qf.REAL]
     if not primes:
-        return Check("11-xi-constructors", False,
-                     f"test form {XI_TEST_FORM} has no anisotropic prime")
+        return False, f"test form {XI_TEST_FORM} has no anisotropic prime"
     fs = (T * T, T * T + 1, T * T + T + 1)
     for f in fs:
         for p in primes:
             xi, h, cert = qf.padic_xi_construct(f, p)  # cert asserted inside
             if gcd(h.degree, cert.r - 1) != 1:
-                return Check("11-xi-constructors", False,
-                             f"gcd condition at f = {f}, p = {p}")
+                return False, f"gcd condition at f = {f}, p = {p}"
         xi, h = qf.real_xi_construct(f)
-        from diobench.polynomial import real_root_count
-
         if real_root_count(h) != 0:
-            return Check("11-xi-constructors", False,
-                         f"real construction at f = {f}")
+            return False, f"real construction at f = {f}"
     # Eisenstein-certified => irreducible, cross-checked at degree <= 4
     for g, p in ((Poly([2, 4, 1]), 2), (Poly([3, 9, 0, 1]), 3),
                  (Poly([5, 0, 25, 0, 1]), 5)):
         if not qf.eisenstein_certify(g, p).verdict:
-            return Check("11-xi-constructors", False, f"certify {g} at {p}")
+            return False, f"certify {g} at {p}"
         _, factors = factor_small(g)
         if len(factors) != 1 or factors[0][1] != 1:
-            return Check("11-xi-constructors", False, f"{g} factors over Q")
-    return Check("11-xi-constructors", True,
-                 f"p-adic and real xi for {len(fs)} polynomials at primes "
-                 f"{primes}; certified => irreducible")
+            return False, f"{g} factors over Q"
+    return True, (f"p-adic and real xi for {len(fs)} polynomials at primes "
+                  f"{primes}; certified => irreducible")
 
 
-def theta_par(n_round=10**5, n_par=200, perturbations=8, seed=0):
+def theta_par(n_round, n_par, perturbations, seed):
     for n in range(1, n_round + 1):
         if pe.theta_inverse(pe.theta(n)) != n:
-            return Check("12-theta-par", False, f"round trip at {n}")
+            return False, f"round trip at {n}"
     rng = random.Random(seed)
     for n in range(1, n_par + 1):
         t = pe.make_par_tuple(n)
         if pe.par_eval(t)["verdict"] != "accepted":
-            return Check("12-theta-par", False, f"no accepting tuple at {n}")
+            return False, f"no accepting tuple at {n}"
         P = pe.theta(n)
         k = 2 * t.b + 2 * t.c + t.d
         for _ in range(perturbations):
@@ -290,45 +268,61 @@ def theta_par(n_round=10**5, n_par=200, perturbations=8, seed=0):
             if Fp == P:
                 continue
             if pe.reconstruct_check(Fp, t)["accepted"]:
-                return Check("12-theta-par", False,
-                             f"perturbation accepted at n = {n}: S = {S}")
-    return Check("12-theta-par", True,
-                 f"round trip n <= {n_round}; accepting tuples and "
-                 f"rejected perturbations for n <= {n_par}")
+                return False, f"perturbation accepted at n = {n}: S = {S}"
+    return True, (f"round trip n <= {n_round}; accepting tuples and "
+                  f"rejected perturbations for n <= {n_par}")
 
 
-def four_squares_range(n_max=10**4):
+def four_squares_range(n_max):
     for n in range(n_max + 1):
         sol = four_squares(n)  # re-verifies internally
         if list(sol) != sorted(sol, reverse=True):
-            return Check("13-four-squares", False, f"not canonical at {n}")
-    return Check("13-four-squares", True, f"verified for all n <= {n_max}")
+            return False, f"not canonical at {n}"
+    return True, f"verified for all n <= {n_max}"
+
+
+# check name: (function, quick kwargs, full kwargs, takes the suite's seed).
+# Functions are named, not bound, so a wrapper rebound over a module global
+# (a tracer, a test's monkeypatch) is the one that runs.
+CRITERIA = {
+    "01-pell-laws": ("pell_laws", {"bound": 10}, {"bound": 20}, False),
+    "02-singlefold-z": ("singlefold_z", {"c_max": 5, "bound": 50},
+                        {"c_max": 10, "bound": 50}, False),
+    "03-exp-system": ("exp_grid", {"b_max": 8, "d_max": 3},
+                      {"b_max": 16, "d_max": 4}, True),
+    "04-odd-integer": ("odd_integers", {"r_max": 5, "bound": 15},
+                       {"r_max": 9, "bound": 15}, False),
+    "05-nonneg-gadget": ("nonneg_set", {"d_max": 10}, {"d_max": 20}, False),
+    "06-cyclo-base": ("cyclo_base", {"n_max": 100, "p_max": 13},
+                      {"n_max": 200, "p_max": 13}, False),
+    "07-forweak": ("forweak_random", {"count": 50}, {"count": 200}, True),
+    "08-approx-point": ("approx_points", {}, {}, False),
+    "09-appendix-lemmas": ("appendix_lemmas", {"n_max": 100, "grid": 30},
+                           {"n_max": 200, "grid": 60}, False),
+    "10-hilbert-symbols": ("hilbert_grid", {"a_max": 10, "pairs": 100},
+                           {"a_max": 20, "pairs": 500}, True),
+    "11-xi-constructors": ("xi_constructors", {}, {}, False),
+    "12-theta-par": ("theta_par",
+                     {"n_round": 10**4, "n_par": 60, "perturbations": 4},
+                     {"n_round": 10**5, "n_par": 200, "perturbations": 8},
+                     True),
+    "13-four-squares": ("four_squares_range", {"n_max": 2000},
+                        {"n_max": 10**4}, False),
+}
+
+
+def run_criterion(name, profile="full", seed=0):
+    """The Check of criterion `name` at the profile's arguments."""
+    fn, quick, full, seeded = CRITERIA[name]
+    kwargs = dict(quick if profile == "quick" else full)
+    if seeded:
+        kwargs["seed"] = seed
+    status, details = globals()[fn](**kwargs)
+    return Check(name, status, details)
 
 
 def run_suite(profile="full", seed=0):
     """One check per criterion; `quick` shrinks the grids."""
-    q = profile == "quick"
-    steps = [
-        lambda: pell_laws(bound=10 if q else 20),
-        lambda: singlefold_z(c_max=5 if q else 10, bound=50),
-        lambda: exp_grid(b_max=8 if q else 16, d_max=3 if q else 4,
-                         seed=seed),
-        lambda: odd_integers(r_max=5 if q else 9),
-        lambda: nonneg_set(d_max=10 if q else 20),
-        lambda: cyclo_base(n_max=100 if q else 200),
-        lambda: forweak_random(count=50 if q else 200, seed=seed),
-        lambda: approx_points(),
-        lambda: appendix_lemmas(n_max=100 if q else 200,
-                                grid=30 if q else 60),
-        lambda: hilbert_grid(a_max=10 if q else 20,
-                             pairs=100 if q else 500, seed=seed),
-        lambda: xi_constructors(),
-        lambda: theta_par(n_round=10**4 if q else 10**5,
-                          n_par=60 if q else 200,
-                          perturbations=4 if q else 8, seed=seed),
-        lambda: four_squares_range(n_max=2000 if q else 10**4),
-    ]
     report = Report("verify-all", inputs={"profile": profile, "seed": seed})
-    for step in steps:
-        report.checks.append(step())
+    report.checks = [run_criterion(name, profile, seed) for name in CRITERIA]
     return report

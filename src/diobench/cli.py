@@ -25,10 +25,16 @@ from diobench.reports import Report
 
 
 def env_bound(default):
+    """WORKBENCH_BOUND if set, else `default`; a bound must be an integer
+    >= 0."""
+    text = os.environ.get("WORKBENCH_BOUND")
     try:
-        return int(os.environ["WORKBENCH_BOUND"])
-    except (KeyError, ValueError):
-        return default
+        bound = default if text is None else int(text)
+    except ValueError:
+        raise ValueError(f"WORKBENCH_BOUND={text!r} is not an integer") from None
+    if bound < 0:
+        raise ValueError(f"bound {bound} is negative")
+    return bound
 
 
 def _require(args, what, *names):

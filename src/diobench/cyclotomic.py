@@ -372,43 +372,3 @@ def appendix_checks(n_max=200, p_max=50, grid=60):
             "matches_stated": res == p ** euler_phi(m),
         })
     return report
-
-
-def alpha_shadow_check(indices):
-    """Rational-function shadow of the alpha conditions for a product of
-    special cyclotomics: divisibility of T^l - 1, degree bookkeeping, the
-    value at 1, and the measured valuations at the approx point."""
-    sfs = [i if isinstance(i, SpecialFormIndex)
-           else SpecialFormIndex(i[0] * i[1], i[0], i[1]) for i in indices]
-    alpha = ONE
-    for sf in sfs:
-        alpha = alpha * cyclotomic(sf.n)
-    ell = 1
-    for sf in sfs:
-        ell *= sf.n
-    divides = alpha.divides(Poly.monomial(ell) - 1)
-    deg_ok = alpha.degree == sum(euler_phi(sf.n) for sf in sfs)
-    val1 = alpha(1)
-    val1_ok = val1 == _prod(cyclotomic(sf.n)(1) for sf in sfs)
-    point = approx_point(sfs)
-    b = alpha(point.c)
-    vals = {sf.p: ord_int(b, sf.p) for sf in sfs}
-    return {
-        "indices": [(sf.p, sf.m) for sf in sfs],
-        "ell": ell,
-        "divides_T_ell_minus_1": divides,
-        "degree": alpha.degree,
-        "degree_ok": deg_ok,
-        "value_at_one": val1,
-        "value_at_one_ok": val1_ok,
-        "point_c": point.c,
-        "b_valuations": vals,
-        "pass": divides and deg_ok and val1_ok,
-    }
-
-
-def _prod(it):
-    out = 1
-    for v in it:
-        out *= v
-    return out

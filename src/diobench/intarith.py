@@ -1,8 +1,8 @@
 """Exact integer and rational arithmetic helpers.
 
 Valuations, CRT, Hensel lifting of roots of unity, four-square
-decompositions, and the two localization facts used by the witness systems
-(the 1/b closure of a local ring and the p*x - 1 non-vanishing gate).
+decompositions, and the descriptors of the coefficient ring (Q itself or
+Z localized at primes) used by the witness systems.
 """
 
 from dataclasses import dataclass
@@ -290,47 +290,3 @@ FULL_RATIONALS = RingDescriptor("full")
 
 def localized_at(*primes, var="t"):
     return RingDescriptor("localized", tuple(primes), var)
-
-
-def local_inverse_closure(q, ring):
-    """Given a/b in lowest terms inside the ring, return (1/b, (x1, x2)).
-
-    x1, x2 are Bezout coefficients with a*x1 + b*x2 = 1; x1 is the least
-    non-negative inverse of a modulo b.
-    """
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    if not ring.contains(q):
-        raise ValueError(f"{q} is not in the ring {ring}")
-    a, b = q.numerator, q.denominator
-    if b == 1:
-        return Fraction(1), (0, 1)
-    x1 = pow(a, -1, b) % b
-    x2 = (1 - a * x1) // b
-    assert a * x1 + b * x2 == 1
-    return Fraction(1, b), (x1, x2)
-
-
-def nonzero_gate(x, p, ring=None):
-    """p*x - 1 for x in a ring where p is not invertible; never zero."""
-    _require_prime(p)
-    if ring is None:
-        ring = localized_at(p)
-    if p not in ring.primes:
-        raise ValueError(f"{p} is invertible in {ring}; gate has no force")
-    from diobench.polynomial import Poly
-
-    if isinstance(x, Poly):
-        for c in x.coeffs:
-            if not ring.contains(c):
-                raise ValueError(f"{x} is not in the ring {ring}")
-        result = x * p - 1
-        assert not result.is_zero()
-        return result
-    x = Fraction(x)
-    if not ring.contains(x):
-        raise ValueError(f"{x} is not in the ring {ring}")
-    result = p * x - 1
-    assert result != 0
-    return result if result.denominator > 1 else result.numerator

@@ -9,7 +9,7 @@ with n ranging over the integers (negative n via conjugation).
 from dataclasses import dataclass
 from functools import lru_cache
 
-from diobench.polynomial import ONE, Poly, QuadExt, ZERO
+from diobench.polynomial import ONE, Poly, QuadExt
 
 
 def discriminant(s):
@@ -32,10 +32,6 @@ class PellPair:
 
     def verify(self):
         return self.f * self.f - discriminant(self.s) * self.g * self.g == ONE
-
-    def as_quad(self):
-        """f_n - sqrt(D) g_n as a QuadExt element."""
-        return QuadExt(self.f, -self.g, discriminant(self.s))
 
 
 def pell_pair(s, n):
@@ -119,46 +115,3 @@ def recognize_solution(f, g, s):
             if pair.f == sign * f and pair.g == sign * g:
                 return idx, sign
     raise ValueError("Pell solution not recognized")  # unreachable by Lemma
-
-
-def w_n(n, s=Poly([0, 1])):
-    """g_n extended to negative indices by w_{-n} = -w_n."""
-    s = Poly.coerce(s)
-    if n >= 0:
-        return pell_pair(s, n).g if n > 0 else ZERO
-    return -pell_pair(s, -n).g
-
-
-def wn_congruence(n, s=Poly([0, 1])):
-    """w_n == n mod (s - 1): the difference vanishes at s = 1."""
-    s = Poly.coerce(s)
-    diff = w_n(n, s) - n
-    ok = (s - 1).divides(diff) if not diff.is_zero() else True
-    return {"n": n, "s": str(s), "pass": ok}
-
-
-def eps_quotient(n, s=Poly([0, 1])):
-    """q_n = (eps^n - 1)/(eps - 1) together with the q_n == n (mod eps-1) check.
-
-    Returns (q_n, report).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    s = Poly.coerce(s)
-    eps = epsilon(s)
-    one = QuadExt(1, 0, eps.D)
-    num = eps**n - one
-    den = eps - one
-    if n == 0:
-        q = QuadExt(0, 0, eps.D)
-    else:
-        # geometric sum 1 + eps + ... + eps^(n-1); exact, avoids division
-        q = QuadExt(0, 0, eps.D)
-        acc = one
-        for _ in range(n):
-            q = q + acc
-            acc = acc * eps
-    assert den * q == num
-    diff = q - QuadExt(n, 0, eps.D)
-    ok = den.divides(diff)
-    return q, {"n": n, "s": str(s), "pass": ok}

@@ -361,12 +361,6 @@ def poly_mod_p_same_degree(a, p):
     return fa
 
 
-def resultant_mod_p(a, b, p):
-    """Res(a mod p, b mod p) in F_p; degrees must not drop mod p."""
-    return resultant_fp(poly_mod_p_same_degree(a, p),
-                        poly_mod_p_same_degree(b, p), p)
-
-
 def resultant_fp(fa, fb, p):
     """Res(fa, fb) in F_p for ascending coefficient sequences over F_p with
     nonzero leading entries."""

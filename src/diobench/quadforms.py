@@ -7,7 +7,7 @@ Closed-form local rules are cross-checked against a brute-force modular
 oracle built on the search kernels.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -254,38 +254,6 @@ def padic_xi_construct(f, p):
         xi.xi1 * F + xi.xi3
     ), "substitution mismatch"
     return xi, h, cert
-
-
-def padic_xi_multi(f, primes):
-    """One xi triple handling several primes at once, with one certificate
-    per prime: xi1 = prod p^(n r_p)/a_n, xi3 = prod p."""
-    F = _f_cubed_plus_t(f)
-    n = F.degree
-    an = Fraction(F.lead())
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
-    singles = {p: padic_xi_construct(f, p) for p in primes}
-    xi1 = Fraction(1) / an
-    xi3 = Fraction(1)
-    for p in primes:
-        rp = singles[p][0].xi1 * an  # p^(n r_p)
-        xi1 *= rp
-        xi3 *= p
-    xi = XiTriple(xi1, Fraction(1), xi3)
-    certs = {}
-    for p in primes:
-        r_p = 0
-        while Fraction(p) ** (n * r_p) != singles[p][0].xi1 * an:
-            r_p += 1
-        # substitute W = p^(r_p) T; other primes' powers are units at p
-        target = xi.xi1 * F + xi.xi3
-        h = Poly([
-            Fraction(target[i]) * Fraction(p) ** (-i * r_p)
-            for i in range(n + 1)
-        ])
-        certs[p] = eisenstein_certify(h, p)
-        assert certs[p].verdict, (p, certs[p].to_dict())
-    return xi, certs
 
 
 def real_xi_construct(f):

@@ -13,13 +13,7 @@ from functools import lru_cache
 
 from diobench.intarith import FULL_RATIONALS, RingDescriptor
 from diobench.pellpairs import epsilon, pell_pair
-from diobench.polynomial import (
-    ONE,
-    Poly,
-    QuadExt,
-    T,
-    rational_roots,
-)
+from diobench.polynomial import ONE, Poly, QuadExt, T
 
 
 @dataclass
@@ -72,28 +66,6 @@ def _as_element(x):
     if isinstance(x, Poly):
         return x
     return Poly.const(Fraction(x))
-
-
-def combine_and(fval, gval, h=(1, 0, 1)):
-    """Homogenized combination vanishing iff fval = gval = 0.
-
-    h lists the coefficients (ascending) of a monic polynomial with no root
-    in the fraction field; default T^2 + 1.  Returns
-    sum_i h[i] * fval^i * gval^(n-i).
-    """
-    h = Poly(h)
-    n = h.degree
-    if h.is_zero() or n is None or n < 1:
-        raise ValueError("h must be nonconstant")
-    if h.lead() != 1:
-        raise ValueError("h must be monic")
-    if rational_roots(h):
-        raise ValueError("h has a root in the fraction field")
-    f, g = _as_element(fval), _as_element(gval)
-    acc = Poly()
-    for i, c in enumerate(h.coeffs):
-        acc = acc + c * f**i * g ** (n - i)
-    return acc
 
 
 def constants_system(x, ring=FULL_RATIONALS, s_size=1):
@@ -345,22 +317,6 @@ def odd_integer_refute(a_value, bound=15):
 def _rel_notes(rel):
     bad = [k for k, v in rel.items() if not v]
     return "all relations hold" if not bad else "failed: " + ", ".join(bad)
-
-
-def integer_via_odd(m, bound=15):
-    """m is a rational integer iff 2m + 1 is an odd integer."""
-    m = Fraction(m)
-    r = 2 * m + 1
-    if r.denominator != 1 or int(r) % 2 == 0:
-        return WitnessReport(
-            "odd-int-wrap", (m,), "refuted",
-            notes=f"2m+1 = {r} is not an odd integer",
-        )
-    inner = odd_integer_system(r=int(r), bound=bound)
-    return WitnessReport(
-        "odd-int-wrap", (m,), inner.verdict, witnesses=inner.witnesses,
-        notes=inner.notes,
-    )
 
 
 def nonneg_gadget(d):

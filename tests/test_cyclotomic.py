@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from diobench.cyclotomic import (
     CycloProductSpec,
-    alpha_shadow_check,
     appendix_checks,
     approx_point,
     congruence_profile,
@@ -143,11 +142,3 @@ def test_appendix_checks():
     assert {"r": 6, "m": 3, "p": 2, "a": 1} in rep["clause2_counterexamples"]
     for rec in rep["pdivides"]:
         assert rec["matches_stated"]
-
-
-def test_alpha_shadow():
-    out = alpha_shadow_check([(3, 2)])
-    assert out["pass"]
-    assert out["degree"] == euler_phi(6)
-    assert out["point_c"] == 8
-    assert out["b_valuations"][3] >= 1

@@ -12,10 +12,8 @@ from diobench.intarith import (
     four_squares,
     hensel_root_of_unity,
     is_prime,
-    local_inverse_closure,
     localized_at,
     moebius,
-    nonzero_gate,
     ord_int,
     ord_p,
     primitive_root,
@@ -152,20 +150,3 @@ def test_ring_descriptors():
     assert not FULL_RATIONALS.is_unit(0)
     with pytest.raises(ValueError):
         localized_at(4)
-
-
-def test_local_inverse_closure():
-    inv, (x1, x2) = local_inverse_closure(Fraction(3, 5), FULL_RATIONALS)
-    assert inv == Fraction(1, 5) and (x1, x2) == (2, -1)
-    assert local_inverse_closure(7, FULL_RATIONALS) == (1, (0, 1))
-    with pytest.raises(ValueError):
-        local_inverse_closure(Fraction(1, 2), localized_at(2))
-
-
-def test_nonzero_gate():
-    assert nonzero_gate(3, 2) == 5
-    assert nonzero_gate(Fraction(1, 3), 2) == Fraction(-1, 3)
-    with pytest.raises(ValueError):
-        nonzero_gate(Fraction(1, 2), 2)
-    with pytest.raises(ValueError):
-        nonzero_gate(3, 2, ring=localized_at(3))

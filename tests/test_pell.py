@@ -7,12 +7,9 @@ from diobench.pellpairs import (
     check_degree_law,
     check_divisibility_law,
     discriminant,
-    eps_quotient,
     epsilon,
     pell_pair,
     recognize_solution,
-    w_n,
-    wn_congruence,
 )
 from diobench.polynomial import ONE, Poly, T
 
@@ -65,7 +62,7 @@ def test_failing_law_fails_criterion_and_cli(law, monkeypatch, capsys):
         monkeypatch.setattr(
             mod, law, lambda *args, right=right: {**right(*args), "pass": False}
         )
-    assert acceptance.pell_laws(bound=3).status == "fail"
+    assert acceptance.run_criterion("01-pell-laws", "quick").status == "fail"
     assert cli.main(["pell", "--s", "t", "--n", "2", "--check-laws",
                      "--bound", "3"]) == 1
 
@@ -88,21 +85,6 @@ def test_epsilon_unit():
     eps = epsilon(T)
     assert eps.norm() == ONE
     assert eps.u == T and eps.w == -1
-
-
-@given(n=st.integers(-50, 50))
-def test_w_n_antisymmetry_and_congruence(n):
-    assert w_n(-n) == -w_n(n)
-    report = wn_congruence(n)
-    assert report["pass"], report
-
-
-@given(n=st.integers(0, 30))
-def test_eps_quotient_geometric(n):
-    q, report = eps_quotient(n)
-    eps = epsilon(T)
-    one = type(eps)(1, 0, eps.D)
-    assert q * (eps - one) == eps**n - one
 
 
 def test_bad_parameter_rejected():

@@ -16,10 +16,11 @@ from diobench.polynomial import (
     parse_poly,
     poly_gcd,
     poly_mod_p,
+    poly_mod_p_same_degree,
     rational_roots,
     real_root_count,
     resultant,
-    resultant_mod_p,
+    resultant_fp,
     squarefree_decomposition,
     sturm_count,
 )
@@ -112,7 +113,8 @@ def test_gcd_and_resultant():
     # Res(T^2 - 1, T - 2) = product of (root - 2) times lead powers
     assert resultant(T * T - 1, T - 2) == 3
     assert resultant(T * T + 1, T * T - 1) == 4
-    assert resultant_mod_p(T * T + 1, T - 1, 5) == 2
+    assert resultant_fp(poly_mod_p_same_degree(T * T + 1, 5),
+                        poly_mod_p_same_degree(T - 1, 5), 5) == 2
 
 
 @given(a=nonzero_polys, b=nonzero_polys)
@@ -236,8 +238,9 @@ def test_poly_mod_p_takes_integers_only():
     assert poly_mod_p(5 * T + 10, 5) == []
     with pytest.raises(ValueError):
         poly_mod_p(Poly([Fraction(1, 2), 1]), 5)
-    with pytest.raises(ValueError):
-        resultant_mod_p(5 * T * T + 1, T - 1, 5)  # the degree drops
+    with pytest.raises(ValueError):  # the degree drops
+        resultant_fp(poly_mod_p_same_degree(5 * T * T + 1, 5),
+                     poly_mod_p_same_degree(T - 1, 5), 5)
 
 
 def test_rational_function():

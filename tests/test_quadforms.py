@@ -15,7 +15,6 @@ from diobench.quadforms import (
     hilbert_symbol,
     local_solubility_oracle,
     padic_xi_construct,
-    padic_xi_multi,
     real_xi_construct,
     relevant_places,
     squarefree_kernel,
@@ -109,13 +108,6 @@ def test_padic_xi_construct():
         for p in (2, 5):
             _, _, cert = padic_xi_construct(f, p)
             assert cert.verdict
-
-
-def test_padic_xi_multi():
-    xi, certs = padic_xi_multi(T * T, [2, 5])
-    assert set(certs) == {2, 5}
-    assert all(c.verdict for c in certs.values())
-    assert xi.xi3 == 10
 
 
 def test_padic_xi_rejects_odd_degree():

@@ -114,8 +114,20 @@ def test_cli_exit_codes(capsys):
     ["par", "five-squares", "--poly", "1/4+t^2"],
     ["pell", "--s", "t", "--n", "3", "--check-laws", "--bound", "0"],
     ["qform", "gate", "--g", "0"],
+    ["defsys", "singlefold-int", "--c", "3", "--bound", "-1"],
+    ["defsys", "odd-int", "--a", "3", "--bound", "-1"],
+    ["defsys", "exp", "--base", "2", "--exp", "0", "--result", "1",
+     "--bound", "-1"],
+    ["par", "five-squares", "--poly", "1+t^2", "--witness-limit", "-1"],
+    # (WORKBENCH_BOUND, argv)
+    ("-1", ["defsys", "singlefold-int", "--c", "3"]),
+    ("abc", ["defsys", "singlefold-int", "--c", "3"]),
+    ("abc", ["pell", "--s", "t", "--n", "3", "--check-laws"]),
 ])
-def test_cli_bad_input_exits_2(argv, capsys):
+def test_cli_bad_input_exits_2(argv, capsys, monkeypatch):
+    if isinstance(argv, tuple):
+        bound, argv = argv
+        monkeypatch.setenv("WORKBENCH_BOUND", bound)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

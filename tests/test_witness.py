@@ -11,10 +11,8 @@ from diobench.polynomial import Poly, QuadExt, T
 from diobench.witness import (
     DESK,
     DeskInstantiation,
-    combine_and,
     constants_system,
     exp_system,
-    integer_via_odd,
     nonneg_gadget,
     odd_integer_refute,
     odd_integer_system,
@@ -24,21 +22,6 @@ from diobench.witness import (
 small_polys = st.builds(
     Poly, st.lists(st.integers(-5, 5), min_size=0, max_size=4)
 )
-
-
-@given(f=small_polys, g=small_polys)
-def test_combine_and_zero_iff(f, g):
-    # default h = T^2 + 1: f^2 + g^2 vanishes iff both vanish
-    assert combine_and(f, g).is_zero() == (f.is_zero() and g.is_zero())
-
-
-def test_combine_and_rejects_bad_h():
-    with pytest.raises(ValueError):
-        combine_and(T, T, h=(1, 1))  # T + 1 has the root -1
-    with pytest.raises(ValueError):
-        combine_and(T, T, h=(1, 0, 2))  # not monic
-    with pytest.raises(ValueError):
-        combine_and(T, T, h=(5,))  # constant
 
 
 def test_constants_system_examples():
@@ -163,12 +146,6 @@ def test_odd_integer_refute_even_and_nonconstant():
         assert not rep.accepted, a
     # sanity: the search does find odd witnesses
     assert odd_integer_refute(3, bound=12).accepted
-
-
-def test_integer_via_odd():
-    assert integer_via_odd(4).accepted       # 2m+1 = 9
-    assert integer_via_odd(-3).accepted      # 2m+1 = -5
-    assert integer_via_odd(Fraction(1, 2)).verdict == "refuted"
 
 
 def test_nonneg_gadget_measured_set():
