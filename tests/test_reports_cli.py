@@ -202,6 +202,13 @@ CLI_QUERIES = [
     "par eval --n 42",
     "par five-squares --poly 1+t^2",
     "qform xi --f t^2+1 --real",
+    "qform gate --g 1",
+    "qform gate --g t",
+    "qform gate --g t^2+1",
+    "qform gate --g 2*t^3-t",
+    "qform gate --g=-3",
+    "cyclo approx --indices 7:3",
+    "par five-squares --poly=-1-t^2",
 ]
 
 
