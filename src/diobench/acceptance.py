@@ -18,7 +18,7 @@ from diobench import cyclotomic as cyc
 from diobench import parencode as pe
 from diobench import quadforms as qf
 from diobench import witness as wit
-from diobench.intarith import four_squares, is_prime
+from diobench.intarith import divisors, four_squares, is_prime
 from diobench.pellpairs import (
     check_degree_law,
     check_divisibility_law,
@@ -109,7 +109,7 @@ def nonneg_set(d_max):
 def cyclo_base(n_max, p_max):
     for n in range(1, n_max + 1):
         prod = Poly([1])
-        for d in cyc._divisors(n):
+        for d in divisors(n):
             prod = prod * cyc.cyclotomic(d)
         if prod != Poly.monomial(n) - 1:
             return False, f"product at n = {n}"

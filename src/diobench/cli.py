@@ -102,7 +102,7 @@ def cmd_defsys(args):
         rep = wit.exp_system(args.base, args.result, args.exp, bound=bound)
     elif args.system == "odd-int":
         if args.r is not None:
-            rep = wit.odd_integer_system(r=args.r, bound=bound)
+            rep = wit.odd_integer_system(r=args.r)
         else:
             _require(args, f"{what} without --r", "a")
             rep = wit.odd_integer_refute(_num_or_poly(args.a), bound=bound)

@@ -9,6 +9,7 @@ from math import gcd, lcm
 
 from diobench.intarith import (
     crt,
+    divisors,
     euler_phi,
     factorize,
     hensel_root_of_unity,
@@ -34,7 +35,7 @@ def cyclotomic(n):
     if not 1 <= n <= CYCLO_MAX:
         raise ValueError(f"n = {n} out of range [1, {CYCLO_MAX}]")
     num = Poly.monomial(n) - 1
-    for d in sorted(_divisors(n))[:-1]:
+    for d in sorted(divisors(n))[:-1]:
         num = num.exact_div(cyclotomic(d))
     return num
 
@@ -43,14 +44,6 @@ def cyclotomic(n):
 def _cyclotomic_mod_p(n, p):
     """Phi_n mod p as a tuple of ints; ValueError if the degree drops."""
     return tuple(poly_mod_p_same_degree(cyclotomic(n), p))
-
-
-@lru_cache(maxsize=1 << 16)
-def _divisors(n):
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return tuple(out)
 
 
 def _trunc_mul(a, b, B):
@@ -68,7 +61,7 @@ def cyclotomic_mod(n, B):
     if n == 1:
         return Poly([-1, 1]).truncate(B)
     acc = ONE
-    for d in _divisors(n):
+    for d in divisors(n):
         if d >= B:
             continue
         mu = moebius(n // d)
@@ -130,8 +123,9 @@ def _next_prime_cong(m, avoid):
     raise RuntimeError(f"prime search exhausted for p == 1 mod {m}")
 
 
-def find_special_congruent(d, s, count, avoid_primes=frozenset(), _raw=False):
-    """`count` special-form indices n with Phi_n == 1 + s*T^d mod T^(2d).
+def find_special_congruent(d, s, count, avoid_primes=frozenset()):
+    """`count` pairs (n, p): a special-form index n with
+    Phi_n == 1 + s*T^d mod T^(2d), and the fresh prime p of its r.
 
     Built per the congruence lemma: m = prod p_i^(e_i+1) over the
     factorization of d, then n = r*m with r a fresh prime (odd factor
@@ -170,7 +164,7 @@ def find_special_congruent(d, s, count, avoid_primes=frozenset(), _raw=False):
         if cyclotomic_mod(n, 2 * d) != target:
             raise AssertionError(f"constructed index {n} fails the congruence")
         found.append((n, p))
-    return found if _raw else [n for n, _ in found]
+    return found
 
 
 @dataclass
@@ -230,8 +224,7 @@ def forweak_approx(F, d):
             continue
         # each factor 1 + s*T^e shifts the T^e coefficient by s*M(0) = s*f0
         s = 1 if (delta > 0) == (f0 > 0) else -1
-        new = find_special_congruent(e, s, abs(delta), avoid_primes=used,
-                                     _raw=True)
+        new = find_special_congruent(e, s, abs(delta), avoid_primes=used)
         for n, top in new:
             used.add(top)
             M = _trunc_mul(M, cyclotomic_mod(n, d), d)
@@ -294,7 +287,7 @@ def approx_point(indices):
         # off-index orders vanish (excluding n_i and the index m_i itself,
         # where Phi_m(c) == Phi_m(root of unity) = 0 mod p can occur)
         off = {}
-        for j in _divisors(ell):
+        for j in divisors(ell):
             if j in (sf.n, sf.m):
                 continue
             v = ord_int(cyclotomic(j)(c), sf.p)
@@ -311,7 +304,7 @@ def approx_point(indices):
     return point
 
 
-def appendix_checks(n_max=200, p_max=50, grid=60):
+def appendix_checks(n_max=200, grid=60):
     """Executable versions of the appendix lemmas on a bounded range.
 
     (i) Phi_{p^s}(1) = p, and gcd(Phi_r(1), p) = 1 when r has another prime
@@ -324,7 +317,6 @@ def appendix_checks(n_max=200, p_max=50, grid=60):
     """
     report = {"value_at_one": [], "divisibility": [],
               "clause2_counterexamples": [], "pdivides": [], "pass": True}
-    primes = [p for p in range(2, p_max + 1) if is_prime(p)]
     for n in range(2, n_max + 1):
         val = cyclotomic(n)(1)
         fac = factorize(n)

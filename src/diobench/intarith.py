@@ -120,6 +120,15 @@ def _factorize_cached(n):
     return tuple(out.items())
 
 
+@lru_cache(maxsize=1 << 16)
+def divisors(n):
+    """The positive divisors of n >= 1, as a tuple in no fixed order."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return tuple(out)
+
+
 def moebius(n):
     f = factorize(n)
     if any(e > 1 for e in f.values()):
@@ -181,16 +190,7 @@ def primitive_root(p):
     _require_prime(p)
     if p == 2:
         return 1
-    fac = []
-    q, n = 2, p - 1
-    while q * q <= n:
-        if n % q == 0:
-            fac.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        fac.append(n)
+    fac = factorize(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
@@ -257,7 +257,6 @@ class RingDescriptor:
 
     mode: str  # "full" | "localized"
     primes: tuple = ()
-    var: str = "t"
 
     def __post_init__(self):
         if self.mode not in ("full", "localized"):
@@ -288,5 +287,5 @@ class RingDescriptor:
 FULL_RATIONALS = RingDescriptor("full")
 
 
-def localized_at(*primes, var="t"):
-    return RingDescriptor("localized", tuple(primes), var)
+def localized_at(*primes):
+    return RingDescriptor("localized", tuple(primes))

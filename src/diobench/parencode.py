@@ -215,6 +215,8 @@ def five_squares_search(F, g_max=4, witness_limit=50):
         raise ValueError("search restricted to deg F <= 4")
     if not all(isinstance(c, int) for c in F.coeffs):
         raise ValueError("search restricted to integer polynomials")
+    if witness_limit < 1:
+        raise ValueError(f"witness limit {witness_limit} is below 1")
     res = dict(_five_squares_cached(F.coeffs, g_max, witness_limit))
     if "parts" in res:
         res["parts"] = list(res["parts"])
@@ -268,16 +270,19 @@ def _par_core(n):
     return P, d, Y, base
 
 
-def minimal_c(n, c_cap=10**4):
+_C_CAP = 10**4
+
+
+def minimal_c(n):
     """Smallest positive c with Pos(Y_{d+2}^2 + c - P_n^2 - 1)."""
     _, _, _, base = _par_core(n)
-    for c in range(1, c_cap + 1):
+    for c in range(1, _C_CAP + 1):
         if pos_check(base + c):
             return c
     raise RuntimeError("c search cap exceeded")
 
 
-def make_par_tuple(n, g_max=4):
+def make_par_tuple(n):
     """The canonical accepting Par tuple for index n.
 
     g comes from the bounded five-squares search when the Pos target has
@@ -289,7 +294,7 @@ def make_par_tuple(n, g_max=4):
     target = base + c
     g = 1
     if (target.degree or 0) <= 4:
-        res = five_squares_search(target, g_max=g_max)
+        res = five_squares_search(target)
         if res["status"] == "found":
             g = res["g"]
     b = max(Y(x) for x in range(0, d + 1))
@@ -297,7 +302,7 @@ def make_par_tuple(n, g_max=4):
     return ParTuple(n, b, c, d, g, v)
 
 
-def par_eval(t, g_max=4):
+def par_eval(t):
     """Verdict for a Par tuple with a per-condition breakdown.
 
     Condition values are True, False, or "semi-decided" (condition (5) when
@@ -321,7 +326,7 @@ def par_eval(t, g_max=4):
         and (t.c == 1 or not pos_check(base + (t.c - 1)))
     )
     if (target.degree or 0) <= 4:
-        res = five_squares_search(target, g_max=g_max)
+        res = five_squares_search(target)
         if res["status"] == "found":
             conds["5-g-minimal"] = t.g == res["g"]
         else:

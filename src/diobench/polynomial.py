@@ -10,6 +10,8 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt
 
+from diobench.intarith import divisors
+
 
 def _norm_coeff(c):
     if isinstance(c, Fraction):
@@ -243,7 +245,7 @@ ONE = Poly([1])
 T = Poly([0, 1])
 
 
-def format_poly(p, var="T"):
+def format_poly(p):
     """Canonical ascending text form, e.g. ``-1 + 2*T^2``."""
     if p.is_zero():
         return "0"
@@ -254,7 +256,7 @@ def format_poly(p, var="T"):
         if i == 0:
             term = str(c)
         else:
-            v = var if i == 1 else f"{var}^{i}"
+            v = "T" if i == 1 else f"T^{i}"
             if c == 1:
                 term = v
             elif c == -1:
@@ -277,7 +279,7 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_poly(text, var="T"):
+def parse_poly(text):
     """Inverse of :func:`format_poly`; accepts any +/- separated terms."""
     text = text.strip()
     if text in ("0", ""):
@@ -297,7 +299,7 @@ def parse_poly(text, var="T"):
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ValueError(f"cannot parse term {term!r}")
-        if m.group("var") is not None and m.group("var") != var:
+        if m.group("var") not in (None, "T"):
             raise ValueError(f"unexpected variable {m.group('var')!r}")
         c = Fraction(m.group("coef").replace(" ", "")) if m.group("coef") else Fraction(1)
         k = 0
@@ -479,17 +481,6 @@ def squarefree_decomposition(p):
 # -- small-degree rational factorization --------------------------------------
 
 
-def _divisors(n):
-    n = abs(n)
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
-
-
 def rational_roots(p):
     """All rational roots of p, each listed once, sorted."""
     p = Poly.coerce(p).primitive_part()
@@ -505,8 +496,8 @@ def rational_roots(p):
     if p.degree == 0:
         return sorted(roots)
     a0, an = p.constant(), p.lead()
-    for q in _divisors(an):
-        for r in _divisors(a0):
+    for q in divisors(abs(an)):
+        for r in divisors(abs(a0)):
             for cand in (Fraction(r, q), Fraction(-r, q)):
                 if p(cand) == 0:
                     roots.add(cand)
@@ -554,8 +545,8 @@ def factor_small(p):
         const2 = pp.constant()
         # no rational roots => constant term nonzero
         cands = set()
-        for qn in _divisors(const2):
-            for qd in _divisors(lead2):
+        for qn in divisors(abs(const2)):
+            for qd in divisors(abs(lead2)):
                 cands.add(Fraction(qn, qd))
                 cands.add(Fraction(-qn, qd))
         for c in sorted(cands):
@@ -718,79 +709,3 @@ class QuadExt:
         nm = other.norm()
         prod = self * other.conj()
         return QuadExt(prod.u.exact_div(nm), prod.w.exact_div(nm), self.D)
-
-
-# -- rational functions -------------------------------------------------------
-
-
-class RationalFunction:
-    """Quotient num/den of polynomials, normalized monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        num, den = Poly.coerce(num), Poly.coerce(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num, den = num.exact_div(g), den.exact_div(g)
-        lc = Fraction(den.lead())
-        self.num = num * (1 / lc)
-        self.den = den * (1 / lc)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return (self.num, self.den) == (other.num, other.den)
-
-    def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RationalFunction):
-            return x
-        return RationalFunction(Poly.coerce(x))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def is_polynomial(self):
-        return self.den == ONE
-
-    def as_polynomial(self):
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
-    def __repr__(self):
-        if self.is_polynomial():
-            return f"RationalFunction({self.num})"
-        return f"RationalFunction(({self.num}) / ({self.den}))"

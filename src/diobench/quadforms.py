@@ -13,12 +13,7 @@ from math import gcd
 
 from diobench.intarith import factorize, is_prime, ord_p
 from diobench.kernels import mod_scan_soluble
-from diobench.polynomial import (
-    Poly,
-    RationalFunction,
-    cauchy_bound,
-    real_root_count,
-)
+from diobench.polynomial import ONE, Poly, T, cauchy_bound, real_root_count
 
 REAL = "real"
 
@@ -83,25 +78,19 @@ def hilbert_symbol(a, b, v):
 _oracle_cache = {}
 
 
-def local_solubility_oracle(a, b, p, k=None):
+def local_solubility_oracle(a, b, p):
     """Brute-force test for primitive solutions of z^2 = a x^2 + b y^2 mod p^k.
 
     Inputs are reduced to their squarefree kernels first (square factors do
     not change solubility), after which k = 3 suffices for odd p and k = 5
-    for p = 2; smaller k is rejected as insufficient precision.
+    for p = 2.
     """
     if a == 0 or b == 0:
         raise ValueError("arguments must be nonzero")
-    need = 5 if p == 2 else 3
-    if k is None:
-        k = need
-    if k < need:
-        raise ValueError(
-            f"precision k = {k} too small (need >= {need} after reduction)"
-        )
+    k = 5 if p == 2 else 3
     a = squarefree_kernel(_int_rep(a))
     b = squarefree_kernel(_int_rep(b))
-    key = (a, b, p, k)
+    key = (a, b, p)
     if key not in _oracle_cache:
         _oracle_cache[key] = mod_scan_soluble(a, b, p**k)
     return _oracle_cache[key]
@@ -281,26 +270,29 @@ def real_xi_construct(f):
     return XiTriple(xi1, Fraction(1), xi3), h
 
 
-def even_order_gate(g):
-    """h = T g^2 + T^2 and the parity verdict at the pole of T.
+def even_order_gate(num, den=ONE):
+    """h = T g^2 + T^2 for g = num/den, and the parity verdict at the pole
+    of T.
 
-    ord at the infinite place is deg(den) - deg(num); "pass" says whether
-    the biconditional  ord g >= 0  <=>  ord h even  holds.
+    h is kept as the pair (T num^2 + T^2 den^2, den^2).  The order at the
+    infinite place is deg(den) - deg(num), which a common factor does not
+    change, so neither pair is reduced.  "pass" says whether the
+    biconditional  ord g >= 0  <=>  ord h even  holds.
     """
-    if not isinstance(g, RationalFunction):
-        g = RationalFunction(Poly.coerce(g))
-    t = RationalFunction(Poly([0, 1]))
-    h = t * g * g + t * t
-    ordh = _inf_order(h)
-    ordg = _inf_order(g)
+    num, den = Poly.coerce(num), Poly.coerce(den)
+    if den.is_zero():
+        raise ValueError("zero denominator")
+    h = (T * num * num + T * T * den * den, den * den)
+    ordh = _inf_order(*h)
+    ordg = _inf_order(num, den)
     nonneg = ordg is None or ordg >= 0
     even = ordh % 2 == 0
     return {"h": h, "ord_g": ordg, "ord_h": ordh,
             "g_integral": nonneg, "h_even": even, "pass": nonneg == even}
 
 
-def _inf_order(r):
-    """Order at the infinite place; None for the zero function."""
-    if r.num.is_zero():
+def _inf_order(num, den):
+    """Order of num/den at the infinite place; None for the zero function."""
+    if num.is_zero():
         return None
-    return r.den.degree - r.num.degree
+    return den.degree - num.degree

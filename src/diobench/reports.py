@@ -38,10 +38,7 @@ class Report:
     elapsed: float = 0.0
 
     def add(self, name, ok_or_status, details=None):
-        status = ok_or_status
-        if isinstance(ok_or_status, bool):
-            status = "pass" if ok_or_status else "fail"
-        self.checks.append(Check(name, status, details))
+        self.checks.append(Check(name, ok_or_status, details))
         return self
 
     @property

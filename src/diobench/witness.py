@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from diobench.intarith import FULL_RATIONALS, RingDescriptor
+from diobench.intarith import FULL_RATIONALS
 from diobench.pellpairs import epsilon, pell_pair
 from diobench.polynomial import ONE, Poly, QuadExt, T
 
@@ -47,7 +47,6 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class DeskInstantiation:
-    ring: RingDescriptor = FULL_RATIONALS
     a: Poly = T
 
     def __post_init__(self):
@@ -243,7 +242,7 @@ def _odd_relations(a, f, g, f2, g2, f3, g3, tv):
     return rel
 
 
-def odd_integer_system(r=None, tuple_=None, bound=15):
+def odd_integer_system(r=None, tuple_=None):
     """Constructor (r odd) or checker (full tuple) for the odd-integer system.
 
     Constructor: emits the canonical witness at s = r*x and verifies all

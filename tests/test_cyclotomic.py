@@ -74,7 +74,7 @@ def test_congruence_profile():
 @settings(max_examples=40, deadline=None)
 def test_find_special_congruent(d, s, count):
     target = Poly([1] + [0] * (d - 1) + [s])
-    out = find_special_congruent(d, s, count)
+    out = [n for n, _ in find_special_congruent(d, s, count)]
     assert len(set(out)) == count
     for n in out:
         assert special_form(n) is not None
@@ -83,8 +83,8 @@ def test_find_special_congruent(d, s, count):
 
 def test_find_special_congruent_first_indices():
     # ascending construction from the smallest fresh primes
-    assert find_special_congruent(1, 1, 1) == [2]
-    assert find_special_congruent(1, -1, 1) == [2 * 3]
+    assert find_special_congruent(1, 1, 1) == [(2, 2)]
+    assert find_special_congruent(1, -1, 1) == [(2 * 3, 3)]
 
 
 def test_product_spec():

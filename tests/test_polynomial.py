@@ -8,7 +8,6 @@ from diobench.polynomial import (
     ONE,
     Poly,
     QuadExt,
-    RationalFunction,
     T,
     cauchy_bound,
     factor_small,
@@ -241,11 +240,3 @@ def test_poly_mod_p_takes_integers_only():
     with pytest.raises(ValueError):  # the degree drops
         resultant_fp(poly_mod_p_same_degree(5 * T * T + 1, 5),
                      poly_mod_p_same_degree(T - 1, 5), 5)
-
-
-def test_rational_function():
-    f = RationalFunction(T * T - 1, T - 1)
-    assert f.is_polynomial() and f.as_polynomial() == T + 1
-    g = RationalFunction(ONE, 2 * T)  # denominator normalized monic
-    assert g.den == T and g.num == Poly.const(Fraction(1, 2))
-    assert g * (2 * T) == RationalFunction(ONE)

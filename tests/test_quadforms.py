@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diobench import cli, quadforms
-from diobench.polynomial import Poly, RationalFunction, T, real_root_count
+from diobench.polynomial import Poly, T, real_root_count
 from diobench.quadforms import (
     REAL,
     anisotropy_report,
@@ -129,11 +129,12 @@ def test_even_order_gate():
     out = even_order_gate(T)  # pole at the infinite place: odd order h
     assert out["ord_g"] == -1
     assert not out["g_integral"] and not out["h_even"]
-    g = RationalFunction(Poly([1]), T)  # 1/T vanishes at the place
-    out = even_order_gate(g)
+    out = even_order_gate(Poly([1]), T)  # 1/T vanishes at the place
     assert out["ord_g"] == 1 and out["g_integral"] and out["h_even"]
     out = even_order_gate(Poly())  # zero function
-    assert out["g_integral"] and out["h_even"]
+    assert out["ord_g"] is None and out["g_integral"] and out["h_even"]
+    with pytest.raises(ValueError):
+        even_order_gate(T, Poly())
 
 
 @given(num=st.builds(Poly, st.lists(st.integers(-5, 5), min_size=1,
@@ -143,7 +144,7 @@ def test_even_order_gate():
            lambda p: not p.is_zero()))
 @settings(max_examples=150)
 def test_even_order_gate_biconditional(num, den):
-    out = even_order_gate(RationalFunction(num, den))
+    out = even_order_gate(num, den)
     assert out["pass"]
     assert out["g_integral"] == out["h_even"]
 
@@ -151,10 +152,11 @@ def test_even_order_gate_biconditional(num, den):
 def test_even_order_gate_can_fail(monkeypatch, capsys):
     """With ord h shifted by one the two sides of the biconditional
     disagree: the gate reports fail and the CLI exits 1."""
-    h = RationalFunction(T**3 + T**2)  # T g^2 + T^2 at g = T
+    h_num = T**3 + T**2  # T g^2 + T^2 at g = T
     real = quadforms._inf_order
-    monkeypatch.setattr(quadforms, "_inf_order",
-                        lambda r: real(r) + (1 if r == h else 0))
+    monkeypatch.setattr(
+        quadforms, "_inf_order",
+        lambda num, den: real(num, den) + (1 if num == h_num else 0))
     assert even_order_gate(T)["pass"] is False
     assert cli.main(["--format", "json", "qform", "gate", "--g", "t"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]

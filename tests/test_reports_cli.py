@@ -119,10 +119,13 @@ def test_cli_exit_codes(capsys):
     ["defsys", "exp", "--base", "2", "--exp", "0", "--result", "1",
      "--bound", "-1"],
     ["par", "five-squares", "--poly", "1+t^2", "--witness-limit", "-1"],
-    # (WORKBENCH_BOUND, argv)
+    # a tuple is (WORKBENCH_BOUND, argv)
     ("-1", ["defsys", "singlefold-int", "--c", "3"]),
     ("abc", ["defsys", "singlefold-int", "--c", "3"]),
     ("abc", ["pell", "--s", "t", "--n", "3", "--check-laws"]),
+    ["par", "five-squares", "--poly", "1+t^2", "--witness-limit", "0"],
+    ("0", ["par", "five-squares", "--poly", "1+t^2"]),
+    ["cyclo", "approx", "--indices", "3"],
 ])
 def test_cli_bad_input_exits_2(argv, capsys, monkeypatch):
     if isinstance(argv, tuple):

@@ -138,6 +138,10 @@ def test_odd_integer_checker_rejects_corrupted():
     tup = list(rep.witnesses[0])
     tup[1] = tup[1] + 1  # break the Pell identity
     assert odd_integer_system(tuple_=tup).verdict == "refuted"
+    for r in (-9, -3, 1, 5):  # the constructor's own tuples pass the checker
+        rep = odd_integer_system(tuple_=odd_integer_system(r=r).witnesses[0])
+        assert (rep.verdict, rep.notes) == (
+            "accepted", f"certified odd integer a = {r}")
 
 
 def test_odd_integer_refute_even_and_nonconstant():
