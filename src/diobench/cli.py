@@ -93,23 +93,30 @@ def cmd_defsys(args):
     what = f"defsys {args.system}"
     if args.system == "constants":
         _require(args, what, "x")
-        rep = wit.constants_system(_num_or_poly(args.x))
+        inputs = {"x": _num_or_poly(args.x)}
+        rep = wit.constants_system(inputs["x"])
     elif args.system == "singlefold-int":
         _require(args, what, "c")
-        rep = wit.singlefold_int(_num_or_poly(args.c), bound=bound)
+        inputs = {"c": _num_or_poly(args.c), "bound": bound}
+        rep = wit.singlefold_int(inputs["c"], bound=bound)
     elif args.system == "exp":
         _require(args, what, "base", "result", "exp")
+        inputs = {"base": args.base, "result": args.result, "exp": args.exp,
+                  "bound": bound}
         rep = wit.exp_system(args.base, args.result, args.exp, bound=bound)
     elif args.system == "odd-int":
         if args.r is not None:
-            rep = wit.odd_integer_system(r=args.r)
+            inputs = {"r": args.r, "bound": bound}
+            rep = wit.odd_integer_system(r=args.r, bound=bound)
         else:
             _require(args, f"{what} without --r", "a")
-            rep = wit.odd_integer_refute(_num_or_poly(args.a), bound=bound)
+            inputs = {"a": _num_or_poly(args.a), "bound": bound}
+            rep = wit.odd_integer_refute(inputs["a"], bound=bound)
     elif args.system == "nonneg":
         _require(args, what, "d")
+        inputs = {"d": args.d}
         rep = wit.nonneg_gadget(args.d)
-    report = Report(what, result=rep.to_dict())
+    report = Report(what, inputs=inputs, result=rep.to_dict())
     status = "measured" if rep.system == "nonneg" else (
         rep.verdict in ("accepted", "refuted", "refuted-to-bound")
     )

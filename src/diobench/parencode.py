@@ -287,14 +287,15 @@ def make_par_tuple(n):
 
     g comes from the bounded five-squares search when the Pos target has
     degree <= 4; otherwise g = 1 with condition (5) recorded as semi-decided
-    by par_eval.
+    by par_eval.  Only g is read, so the search stops at the first
+    decomposition, which is the one the default witness limit reports.
     """
     P, d, Y, base = _par_core(n)
     c = minimal_c(n)
     target = base + c
     g = 1
     if (target.degree or 0) <= 4:
-        res = five_squares_search(target)
+        res = five_squares_search(target, witness_limit=1)
         if res["status"] == "found":
             g = res["g"]
     b = max(Y(x) for x in range(0, d + 1))
@@ -326,7 +327,7 @@ def par_eval(t):
         and (t.c == 1 or not pos_check(base + (t.c - 1)))
     )
     if (target.degree or 0) <= 4:
-        res = five_squares_search(target)
+        res = five_squares_search(target, witness_limit=1)
         if res["status"] == "found":
             conds["5-g-minimal"] = t.g == res["g"]
         else:

@@ -224,47 +224,57 @@ def _exp_d_relation(a_coeffs, d):
 # -- odd-integer system (seven relations at s = a*x) --------------------------
 
 
+# the relations in the order the notes list them
+_ODD_RELATIONS = (
+    "s-nonconstant", "pell-pairs", "pell-identity", "g3-divides-g",
+    "t-divides-g3g2", "t-cong-g", "ax-divides-f", "a-eq-t-over-g3",
+)
+
+
 def _odd_relations(a, f, g, f2, g2, f3, g3, tv):
-    """Evaluate the seven relations; returns dict name -> bool."""
+    """Yield (name, holds) for the seven relations, lazily and cheapest
+    first: the degree-2m Pell identity comes last, so `all` stops at the
+    first failed relation without building it."""
     s = a * T  # a*x with x the polynomial variable
-    disc = s * s - 1
-    rel = {}
     if s.is_constant():
-        return {"s-nonconstant": False}
+        yield "s-nonconstant", False
+        return
     p2, p3 = pell_pair(s, 2), pell_pair(s, 3)
-    rel["pell-pairs"] = (f2, g2, f3, g3) == (p2.f, p2.g, p3.f, p3.g)
-    rel["pell-identity"] = f * f - disc * g * g == ONE
-    rel["g3-divides-g"] = g3.divides(g)
-    rel["t-divides-g3g2"] = tv.divides(g3 * g2)
-    rel["t-cong-g"] = (g3 * g3).divides(tv - g)
-    rel["ax-divides-f"] = s.divides(f)
-    rel["a-eq-t-over-g3"] = a * g3 == tv
-    return rel
+    yield "pell-pairs", (f2, g2, f3, g3) == (p2.f, p2.g, p3.f, p3.g)
+    yield "a-eq-t-over-g3", a * g3 == tv
+    yield "t-divides-g3g2", tv.divides(g3 * g2)
+    yield "ax-divides-f", s.divides(f)
+    yield "g3-divides-g", g3.divides(g)
+    yield "t-cong-g", (g3 * g3).divides(tv - g)
+    yield "pell-identity", f * f - (s * s - 1) * g * g == ONE
 
 
-def odd_integer_system(r=None, tuple_=None):
+def odd_integer_system(r=None, tuple_=None, bound=None):
     """Constructor (r odd) or checker (full tuple) for the odd-integer system.
 
     Constructor: emits the canonical witness at s = r*x and verifies all
-    seven relations.  Checker: validates an arbitrary tuple
-    (a, f, g, f2, g2, f3, g3, t-var); acceptance certifies that a is an odd
-    integer.  Checker mode with a given constant a and no tuple searches
-    indices up to the bound for any valid witness.
+    seven relations; with a bound below its Pell index 3|r| it answers
+    refuted-to-bound without building the witness.  Checker: validates an
+    arbitrary tuple (a, f, g, f2, g2, f3, g3, t-var); acceptance certifies
+    that a is an odd integer.  Both report every relation in their notes.
     """
     if r is not None and tuple_ is None:
         r = int(r)
         if r % 2 == 0:
             raise ValueError("r must be odd")
+        m = 3 * abs(r)
+        if bound is not None and m > bound:
+            return WitnessReport("odd-int", (r,), "refuted-to-bound",
+                                 bound=bound)
         a = Poly.const(r)
         s = a * T
-        m = 3 * abs(r)
         pm = pell_pair(s, m)
         f = pm.f
         g = pm.g if r > 0 else -pm.g
         p2, p3 = pell_pair(s, 2), pell_pair(s, 3)
         tv = r * p3.g
         tup = (a, f, g, p2.f, p2.g, p3.f, p3.g, tv)
-        rel = _odd_relations(*tup)
+        rel = dict(_odd_relations(*tup))
         ok = all(rel.values())
         return WitnessReport(
             "odd-int", (r,), "accepted" if ok else "invalid",
@@ -274,7 +284,7 @@ def odd_integer_system(r=None, tuple_=None):
         tup = tuple(Poly.coerce(v) for v in tuple_)
         if len(tup) != 8:
             raise ValueError("tuple must be (a, f, g, f2, g2, f3, g3, t)")
-        rel = _odd_relations(*tup)
+        rel = dict(_odd_relations(*tup))
         ok = all(rel.values())
         if ok:
             a = tup[0]
@@ -289,7 +299,12 @@ def odd_integer_system(r=None, tuple_=None):
 
 
 def odd_integer_refute(a_value, bound=15):
-    """Search all witness tuples for the given a up to Pell index bound."""
+    """Search all witness tuples for the given a up to Pell index bound.
+
+    The candidates +-(f_m, g_m), m = 0..bound, are read off one walk
+    eps^0, eps^1, ... at s = a*x, and each stops at its first failed
+    relation.
+    """
     a = Poly.coerce(a_value)
     s = a * T
     if s.is_constant():
@@ -297,16 +312,17 @@ def odd_integer_refute(a_value, bound=15):
                              notes="a = 0 gives a constant Pell parameter")
     p2, p3 = pell_pair(s, 2), pell_pair(s, 3)
     tv = a * p3.g  # forced by a = t/g3
-    for m in range(0, bound + 1):
-        pm = pell_pair(s, m)
+    eps = epsilon(s)
+    z = QuadExt(1, 0, eps.D)  # eps^m = f_m - sqrt(s^2 - 1) g_m
+    for _ in range(bound + 1):
         for sign in (1, -1):
-            tup = (a, sign * pm.f, sign * pm.g, p2.f, p2.g, p3.f, p3.g, tv)
-            rel = _odd_relations(*tup)
-            if all(rel.values()):
+            tup = (a, sign * z.u, -sign * z.w, p2.f, p2.g, p3.f, p3.g, tv)
+            if all(holds for _, holds in _odd_relations(*tup)):
                 return WitnessReport(
                     "odd-int", (a_value,), "accepted", witnesses=[tup],
                     bound=bound,
                 )
+        z = z * eps
     return WitnessReport(
         "odd-int", (a_value,), "refuted-to-bound", bound=bound,
         notes="no witness tuple up to the index bound",
@@ -314,7 +330,7 @@ def odd_integer_refute(a_value, bound=15):
 
 
 def _rel_notes(rel):
-    bad = [k for k, v in rel.items() if not v]
+    bad = [k for k in _ODD_RELATIONS if k in rel and not rel[k]]
     return "all relations hold" if not bad else "failed: " + ", ".join(bad)
 
 

@@ -260,6 +260,23 @@ def test_par_accepting_tuple_exists(n):
     assert par_eval(t)["verdict"] == "accepted"
 
 
+def test_par_first_decomposition_gives_counted_g():
+    """Par reads only the first decomposition; its g is the one the search
+    reports when it counts decompositions up to the default limit."""
+    for n in range(1, 61):
+        target = parencode._par_core(n)[3] + minimal_c(n)
+        t = make_par_tuple(n)
+        cond = par_eval(t)["conditions"]["5-g-minimal"]
+        res = (five_squares_search(target) if (target.degree or 0) <= 4
+               else {"status": "degree-above-4"})
+        if res["status"] != "found":
+            assert (t.g, cond) == (1, "semi-decided"), n
+            continue
+        assert (t.g, cond) == (res["g"], True), n
+        other = ParTuple(**dict(t.to_dict(), g=res["g"] + 1))
+        assert par_eval(other)["conditions"]["5-g-minimal"] is False, n
+
+
 def test_reconstruct_check():
     n = theta_inverse(T)
     t = make_par_tuple(n)

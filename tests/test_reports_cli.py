@@ -178,6 +178,51 @@ def test_defsys_exp_honours_bound(capsys, monkeypatch):
     assert json.loads(out)["result"]["verdict"] == "accepted"
 
 
+def test_defsys_odd_int_constructor_honours_bound(capsys, monkeypatch):
+    """An index 3|r| above the bound answers refuted-to-bound, naming the
+    bound, before any Pell pair is built."""
+    def no_pell(s, n):
+        raise AssertionError(f"pell_pair({s}, {n}) built above the bound")
+
+    monkeypatch.setattr(cli.wit, "pell_pair", no_pell)
+    code, out = _run_cli(["--format", "json", "defsys", "odd-int",
+                          "--r", "301", "--bound", "5"], capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["result"]["verdict"], doc["result"]["bound"]) == (
+        "refuted-to-bound", 5)
+    assert doc["inputs"] == {"bound": "5", "r": "301"}
+    monkeypatch.setenv("WORKBENCH_BOUND", "8")
+    code, out = _run_cli(["--format", "json", "defsys", "odd-int",
+                          "--r", "3"], capsys)
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert (result["verdict"], result["bound"]) == ("refuted-to-bound", 8)
+    monkeypatch.undo()
+    code, out = _run_cli(["--format", "json", "defsys", "odd-int",
+                          "--r", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["verdict"] == "accepted"
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["constants", "--x", "1+t"], {"x": "1 + T"}),
+    (["singlefold-int", "--c", "6/2"], {"c": "3", "bound": "50"}),
+    (["exp", "--base", "2", "--result", "8", "--exp", "3", "--bound", "4"],
+     {"base": "2", "result": "8", "exp": "3", "bound": "4"}),
+    (["odd-int", "--r", "-3"], {"r": "-3", "bound": "50"}),
+    (["odd-int", "--a", "t^2+1", "--bound", "2"],
+     {"a": "1 + T^2", "bound": "2"}),
+    (["nonneg", "--d", "-1"], {"d": "-1"}),
+])
+def test_defsys_reports_inputs(argv, inputs, capsys):
+    """Each defsys report names the options its system read, and the bound
+    where one applies."""
+    code, out = _run_cli(["--format", "json", "defsys"] + argv, capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"] == inputs
+
+
 def test_cyclo_appendix_matches_golden(capsys):
     """The appendix records (divisibility, clause-2 counterexamples and
     measured resultants) stay byte-identical to the recorded ones."""

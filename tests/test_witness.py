@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from diobench import witness
 from diobench.intarith import localized_at
-from diobench.pellpairs import epsilon
+from diobench.pellpairs import epsilon, pell_pair
 from diobench.polynomial import Poly, QuadExt, T
 from diobench.witness import (
     DESK,
@@ -137,7 +137,11 @@ def test_odd_integer_checker_rejects_corrupted():
     rep = odd_integer_system(r=3)
     tup = list(rep.witnesses[0])
     tup[1] = tup[1] + 1  # break the Pell identity
-    assert odd_integer_system(tuple_=tup).verdict == "refuted"
+    rep = odd_integer_system(tuple_=tup)
+    # the notes list failed relations in a fixed order, whatever order the
+    # relations are evaluated in
+    assert (rep.verdict, rep.notes) == (
+        "refuted", "failed: pell-identity, ax-divides-f")
     for r in (-9, -3, 1, 5):  # the constructor's own tuples pass the checker
         rep = odd_integer_system(tuple_=odd_integer_system(r=r).witnesses[0])
         assert (rep.verdict, rep.notes) == (
@@ -150,6 +154,35 @@ def test_odd_integer_refute_even_and_nonconstant():
         assert not rep.accepted, a
     # sanity: the search does find odd witnesses
     assert odd_integer_refute(3, bound=12).accepted
+
+
+def _odd_refute_reference(a_value, bound):
+    """(verdict, witnesses, notes) of the plain search: each candidate
+    +-(f_m, g_m) from its own pell_pair, accepted when every relation
+    holds."""
+    a = Poly.coerce(a_value)
+    s = a * T
+    if s.is_constant():
+        return "refuted", [], "a = 0 gives a constant Pell parameter"
+    p2, p3 = pell_pair(s, 2), pell_pair(s, 3)
+    tv = a * p3.g
+    for m in range(bound + 1):
+        pm = pell_pair(s, m)
+        for sign in (1, -1):
+            tup = (a, sign * pm.f, sign * pm.g, p2.f, p2.g, p3.f, p3.g, tv)
+            if all(dict(witness._odd_relations(*tup)).values()):
+                return "accepted", [tup], ""
+    return "refuted-to-bound", [], "no witness tuple up to the index bound"
+
+
+def test_odd_integer_refute_matches_reference():
+    # odd a has its first witness at index 3|a|; the bounds 2, 8 and 14 sit
+    # one below those of a = +-1, 3 and -5, where an index shift shows
+    for a in (0, 1, -1, 2, -2, 3, 4, -5, 6, Fraction(1, 2), T, T * T + 1):
+        for bound in (0, 1, 2, 5, 8, 12, 14, 20):
+            rep = odd_integer_refute(a, bound=bound)
+            assert (rep.verdict, rep.witnesses, rep.notes) == (
+                _odd_refute_reference(a, bound)), (a, bound)
 
 
 def test_nonneg_gadget_measured_set():
