@@ -149,17 +149,33 @@ def singlefold_int(c, bound=50, desk=DESK):
 @lru_cache(maxsize=1 << 6)
 def _q_ladder(a_coeffs, bound):
     """res(1) and (res(q_0), ..., res(q_bound)) for eps at a, where
-    q_n = (eps^n - 1)/(eps - 1) and res is (eps - 1).residue."""
+    q_n = (eps^n - 1)/(eps - 1) = eps^0 + ... + eps^(n-1) and res is
+    (eps - 1).residue.
+
+    res(x) is x * conj(eps - 1) with both components reduced modulo
+    N(eps - 1), and that reduction is a ring map, so res(eps^(k+1)) is
+    res(eps^k) * eps reduced and res(q_n) is the sum of the res(eps^k):
+    every step costs the same whatever n is.
+    """
     eps = epsilon(Poly(a_coeffs))
     den = eps - QuadExt(1, 0, eps.D)
-    acc = QuadExt(1, 0, eps.D)  # eps^n
-    q = QuadExt(0, 0, eps.D)  # q_n
+    # a constant multiple of the norm leaves every remainder as it is
+    nm = den.norm().primitive_part()
+    step = _reduce(eps, nm)
+    res_one = den.residue(QuadExt(1, 0, eps.D))
+    r = QuadExt(*res_one, eps.D)  # res(eps^n)
+    q = QuadExt(0, 0, eps.D)  # res(q_n)
     ladder = []
     for _ in range(bound + 1):
-        ladder.append(den.residue(q))
-        q = q + acc
-        acc = acc * eps
-    return den.residue(QuadExt(1, 0, eps.D)), tuple(ladder)
+        ladder.append((q.u, q.w))
+        q = q + r
+        r = _reduce(r * step, nm)
+    return res_one, tuple(ladder)
+
+
+def _reduce(x, M):
+    """x with both components reduced modulo the polynomial M."""
+    return QuadExt(x.u % M, x.w % M, x.D)
 
 
 def exp_system(b, c, d, bound=None, desk=DESK):
@@ -301,9 +317,12 @@ def odd_integer_system(r=None, tuple_=None, bound=None):
 def odd_integer_refute(a_value, bound=15):
     """Search all witness tuples for the given a up to Pell index bound.
 
-    The candidates +-(f_m, g_m), m = 0..bound, are read off one walk
-    eps^0, eps^1, ... at s = a*x, and each stops at its first failed
-    relation.
+    The candidates +-(f_m, g_m), m = 0..bound, at s = a*x are screened on
+    one walk of eps^m reduced modulo M = s*g3^2: that reduction is a ring
+    map and s, g3 and g3^2 divide M, so s | f_m, g3 | g_m and
+    g3^2 | t -+ g_m read the same off the reduced components, and every
+    step costs the same whatever m is.  A candidate that passes the screen
+    is built in full and checked on every relation.
     """
     a = Poly.coerce(a_value)
     s = a * T
@@ -311,18 +330,29 @@ def odd_integer_refute(a_value, bound=15):
         return WitnessReport("odd-int", (a_value,), "refuted",
                              notes="a = 0 gives a constant Pell parameter")
     p2, p3 = pell_pair(s, 2), pell_pair(s, 3)
-    tv = a * p3.g  # forced by a = t/g3
+    g3 = p3.g
+    tv = a * g3  # forced by a = t/g3
+    g3_sq = g3 * g3
+    # a constant multiple of M leaves every remainder as it is
+    M = (s * g3_sq).primitive_part()
     eps = epsilon(s)
-    z = QuadExt(1, 0, eps.D)  # eps^m = f_m - sqrt(s^2 - 1) g_m
-    for _ in range(bound + 1):
-        for sign in (1, -1):
-            tup = (a, sign * z.u, -sign * z.w, p2.f, p2.g, p3.f, p3.g, tv)
-            if all(holds for _, holds in _odd_relations(*tup)):
-                return WitnessReport(
-                    "odd-int", (a_value,), "accepted", witnesses=[tup],
-                    bound=bound,
-                )
-        z = z * eps
+    step = _reduce(eps, M)
+    z = QuadExt(1, 0, eps.D)  # eps^m = f_m - sqrt(s^2 - 1) g_m, reduced
+    for m in range(bound + 1):
+        f_m, g_m = z.u, -z.w
+        if s.divides(f_m) and g3.divides(g_m):
+            for sign in (1, -1):
+                if not g3_sq.divides(tv - sign * g_m):
+                    continue
+                pm = pell_pair(s, m)
+                tup = (a, sign * pm.f, sign * pm.g, p2.f, p2.g, p3.f, p3.g,
+                       tv)
+                if all(holds for _, holds in _odd_relations(*tup)):
+                    return WitnessReport(
+                        "odd-int", (a_value,), "accepted", witnesses=[tup],
+                        bound=bound,
+                    )
+        z = _reduce(z * step, M)
     return WitnessReport(
         "odd-int", (a_value,), "refuted-to-bound", bound=bound,
         notes="no witness tuple up to the index bound",

@@ -62,7 +62,7 @@ def _singlefold_reference(c, bound, a):
     return found
 
 
-@pytest.mark.parametrize("a", [T, 2 * T])
+@pytest.mark.parametrize("a", [T, 2 * T, T * T + 1])
 @pytest.mark.parametrize("bound", [8, 50])
 def test_singlefold_int_matches_reference(a, bound):
     desk = DeskInstantiation(a=a)
