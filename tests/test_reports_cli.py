@@ -257,6 +257,8 @@ CLI_QUERIES = [
     "qform gate --g=-3",
     "cyclo approx --indices 7:3",
     "par five-squares --poly=-1-t^2",
+    "defsys constants --x 5",
+    "defsys constants --x t",
 ]
 
 
