@@ -7,6 +7,7 @@ fail a run).  WORKBENCH_BOUND overrides the default search bounds.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -20,8 +21,13 @@ from diobench.pellpairs import (
     check_divisibility_law,
     pell_pair,
 )
-from diobench.polynomial import Poly, format_poly, parse_poly
+from diobench.polynomial import format_poly, parse_poly
 from diobench.reports import Report
+
+# Ceiling on |n| * deg s for `pell`: the degree of f_n.  Building eps^n is
+# superlinear in it (s = t, as a process on 2 cores: 0.4 s at n = 400,
+# 11 s at n = 1600).
+PELL_DEGREE_MAX = 400
 
 
 def env_bound(default):
@@ -68,6 +74,9 @@ def _num_or_poly(text):
 
 def cmd_pell(args):
     s = _poly(args.s)
+    if abs(args.n) * (s.degree or 0) > PELL_DEGREE_MAX:
+        raise ValueError(f"pell needs |n| * deg s <= {PELL_DEGREE_MAX}, "
+                         f"got {abs(args.n)} * {s.degree}")
     report = Report("pell", inputs={"s": format_poly(s), "n": args.n})
     pair = pell_pair(s, args.n)
     report.result = {"f": format_poly(pair.f), "g": format_poly(pair.g)}
@@ -187,7 +196,7 @@ def cmd_qform(args):
         report.inputs = {"a": args.a, "b": args.b}
         diag = qf.anisotropy_report(_rational(args.a), _rational(args.b))
         report.result = diag.to_dict()
-        report.add("reciprocity", True)
+        report.add("reciprocity", math.prod(diag.symbols.values()) == 1)
         report.add("isotropic-everywhere", "measured",
                    diag.globally_isotropic)
     elif args.op == "eisenstein":

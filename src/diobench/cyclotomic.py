@@ -5,7 +5,7 @@ approximation points via CRT of Hensel lifts, and the appendix lemma checks.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from diobench.intarith import (
     crt,
@@ -21,7 +21,7 @@ from diobench.intarith import (
 from diobench.polynomial import (
     ONE,
     Poly,
-    poly_mod_p_same_degree,
+    poly_mod_p,
     resultant,
     resultant_fp,
 )
@@ -43,7 +43,7 @@ def cyclotomic(n):
 @lru_cache(maxsize=1 << 10)
 def _cyclotomic_mod_p(n, p):
     """Phi_n mod p as a tuple of ints; ValueError if the degree drops."""
-    return tuple(poly_mod_p_same_degree(cyclotomic(n), p))
+    return tuple(poly_mod_p(cyclotomic(n), p))
 
 
 def _trunc_mul(a, b, B):
@@ -184,15 +184,6 @@ class CycloProductSpec:
         for n in self.indices:
             acc = _trunc_mul(acc, cyclotomic_mod(n, B), B)
         return acc
-
-    def expand(self):
-        acc = Poly([self.sign])
-        for n in self.indices:
-            acc = acc * cyclotomic(n)
-        return acc
-
-    def period(self):
-        return lcm(*self.indices) if self.indices else 1
 
     def to_dict(self):
         return {"sign": self.sign, "indices": list(self.indices)}

@@ -1,34 +1,18 @@
 """Exact integer and rational arithmetic helpers.
 
-Valuations, CRT, Hensel lifting of roots of unity, four-square
-decompositions, and the descriptors of the coefficient ring (Q itself or
-Z localized at primes) used by the witness systems.
+Valuations, CRT, Hensel lifting of roots of unity and four-square
+decompositions.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 
 class _Infinity:
-    """Order of 0 at any prime.  Compares above every integer."""
+    """Order of 0 at any prime: ``INF >= v`` holds for every order v."""
 
     def __repr__(self):
         return "INF"
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
 
     def __ge__(self, other):
         return True
@@ -250,42 +234,3 @@ def four_squares(n):
     assert sum(x * x for x in sol) == n
     return sol
 
-
-@dataclass(frozen=True)
-class RingDescriptor:
-    """Base ring of the polynomial ring: Q itself or Z localized at primes."""
-
-    mode: str  # "full" | "localized"
-    primes: tuple = ()
-
-    def __post_init__(self):
-        if self.mode not in ("full", "localized"):
-            raise ValueError(f"unknown ring mode {self.mode!r}")
-        if self.mode == "localized":
-            if not self.primes:
-                raise ValueError("localized ring needs at least one prime")
-            if len(set(self.primes)) != len(self.primes):
-                raise ValueError("localized primes must be distinct")
-            for p in self.primes:
-                _require_prime(p)
-        elif self.primes:
-            raise ValueError("full-rationals ring takes no primes")
-
-    def contains(self, q):
-        q = Fraction(q)
-        return all(ord_int(q.denominator, p) == 0 for p in self.primes)
-
-    def is_unit(self, q):
-        q = Fraction(q)
-        if q == 0:
-            return False
-        return self.contains(q) and all(
-            ord_int(q.numerator, p) == 0 for p in self.primes
-        )
-
-
-FULL_RATIONALS = RingDescriptor("full")
-
-
-def localized_at(*primes):
-    return RingDescriptor("localized", tuple(primes))

@@ -342,11 +342,10 @@ def par_eval(t):
     return {"verdict": verdict, "conditions": conds}
 
 
-def reconstruct_check(F, t, parts=None, g=None):
+def reconstruct_check(F, t):
     """Whether F passes the reconstruction conditions against the tuple t.
 
-    Accepts iff Pos(Y_{d+2}^2 + c - F^2 - 1) holds (or a supplied
-    five-squares witness g, parts verifies it) and F(2b+2c+d) = v.
+    Accepts iff Pos(Y_{d+2}^2 + c - F^2 - 1) holds and F(2b+2c+d) = v.
     Acceptance forces F = P_{t.n}.
     """
     ev = par_eval(t)
@@ -355,10 +354,7 @@ def reconstruct_check(F, t, parts=None, g=None):
     F = Poly.coerce(F)
     Y = chebyshev_Y(t.d + 2).g
     target = Y * Y + t.c - F * F - 1
-    if parts is not None:
-        pos_ok = five_squares_verify(g, target, parts)
-    else:
-        pos_ok = pos_check(target)
+    pos_ok = pos_check(target)
     value_ok = F(2 * t.b + 2 * t.c + t.d) == t.v
     return {
         "pos": pos_ok,

@@ -104,9 +104,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-Poly.coerce(other))
 
-    def __rsub__(self, other):
-        return Poly.coerce(other) + (-self)
-
     def __mul__(self, other):
         other = Poly.coerce(other)
         a, b = self.coeffs, other.coeffs
@@ -164,9 +161,6 @@ class Poly:
             qc[k] = c
         return Poly(qc), Poly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -198,12 +192,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * other + c
         return acc
-
-    def shift(self, k):
-        """Multiply by T^k."""
-        if self.is_zero():
-            return self
-        return Poly((0,) * k + self.coeffs)
 
     def truncate(self, k):
         """Reduce mod T^k."""
@@ -343,24 +331,15 @@ def resultant(a, b):
 
 
 def poly_mod_p(a, p):
-    """Coefficient list of a mod p, ascending, trimmed.  Requires integer
-    coefficients."""
-    out = []
-    for c in Poly.coerce(a).coeffs:
+    """Coefficient list of a mod p, ascending.  Requires integer
+    coefficients; raises ValueError if a is zero or its degree drops mod p."""
+    coeffs = Poly.coerce(a).coeffs
+    for c in coeffs:
         if not isinstance(c, int):
             raise ValueError(f"coefficient {c} is not an integer")
-        out.append(c % p)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def poly_mod_p_same_degree(a, p):
-    """poly_mod_p(a, p), raising ValueError if the degree drops mod p."""
-    fa = poly_mod_p(a, p)
-    if len(fa) - 1 != Poly.coerce(a).degree:
+    if not coeffs or coeffs[-1] % p == 0:
         raise ValueError("leading coefficient vanishes mod p")
-    return fa
+    return [c % p for c in coeffs]
 
 
 def resultant_fp(fa, fb, p):
@@ -417,17 +396,6 @@ def cauchy_bound(p):
         return Fraction(1)
     lc = Fraction(p.lead())
     return 1 + max(abs(Fraction(c) / lc) for c in p.coeffs[:-1])
-
-
-def sturm_count(p, lo, hi):
-    """Number of distinct real roots of p in (lo, hi]."""
-    p = Poly.coerce(p)
-    if p.is_zero():
-        raise ValueError("zero polynomial has infinitely many roots")
-    chain = sturm_chain(p)
-    return _sign_changes([q(lo) for q in chain]) - _sign_changes(
-        [q(hi) for q in chain]
-    )
 
 
 def real_root_count(p):
@@ -629,9 +597,6 @@ class QuadExt:
             return NotImplemented
         return (self.u, self.w, self.D) == (other.u, other.w, other.D)
 
-    def __hash__(self):
-        return hash((self.u.coeffs, self.w.coeffs, self.D.coeffs))
-
     def __repr__(self):
         return f"QuadExt({self.u}, {self.w}; D={self.D})"
 
@@ -654,9 +619,6 @@ class QuadExt:
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, QuadExt) else QuadExt(-Poly.coerce(other), 0, self.D))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, QuadExt):

@@ -196,10 +196,6 @@ class XiTriple:
     xi2: Fraction
     xi3: Fraction
 
-    def target(self, f):
-        f = Poly.coerce(f)
-        return self.xi1 * f**3 + self.xi2 * Poly([0, 1]) + self.xi3
-
 
 def _f_cubed_plus_t(f):
     f = Poly.coerce(f)

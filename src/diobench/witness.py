@@ -1,7 +1,7 @@
 """Diophantine definition systems as executable witness verifiers.
 
-Desk instantiation: K = Q(t), S = {pole of t}, O = Q[t] (or Z_(p)[t]),
-a = t; eps = a - sqrt(a^2 - 1) generates the Pell solution group.
+Desk instantiation: K = Q(t), S = {pole of t}, O = Q[t], a = t;
+eps = a - sqrt(a^2 - 1) generates the Pell solution group.
 
 Each system reports accepted / refuted (/ refuted-to-bound N for co-c.e.
 refusals) together with the witness tuples found and a fold count.
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from diobench.intarith import FULL_RATIONALS
 from diobench.pellpairs import epsilon, pell_pair
 from diobench.polynomial import ONE, Poly, QuadExt, T
 
@@ -67,38 +66,24 @@ def _as_element(x):
     return Poly.const(Fraction(x))
 
 
-def constants_system(x, ring=FULL_RATIONALS, s_size=1):
+def constants_system(x):
     """Membership of x in the constant field, witnessed by unit inverses.
 
-    With pi the product of the non-invertible primes of the coefficient ring
-    (1 for full rationals), x is accepted iff each
-    pi*x^2 + (k-1)*pi + 1  (k = 1..s_size+1) is a unit of O; the witness is
-    the tuple of inverses, which is uniquely determined (fold count 1).
+    x is accepted iff x^2 + 1 and x^2 + 2 are units of O, i.e. constants
+    (both are then at least 1); the witness is the pair of inverses, which
+    is uniquely determined (fold count 1).
     """
     x = _as_element(x)
-    pi = 1
-    for p in ring.primes:
-        pi *= p
-    values = [
-        pi * x * x + (k - 1) * pi + 1 for k in range(1, s_size + 2)
-    ]
     inverses = []
-    for v in values:
-        if not v.is_constant() or v.is_zero():
+    for v in (x * x + 1, x * x + 2):
+        if not v.is_constant():
             return WitnessReport(
-                "constants", (x, ring.mode, s_size), "refuted",
+                "constants", (x,), "refuted",
                 notes=f"{v} is not a unit of the polynomial ring",
             )
-        c = Fraction(v.constant())
-        if not ring.is_unit(1 / c):
-            return WitnessReport(
-                "constants", (x, ring.mode, s_size), "refuted",
-                notes=f"1/{c} lies outside the coefficient ring",
-            )
-        inverses.append(1 / c)
+        inverses.append(1 / Fraction(v.constant()))
     return WitnessReport(
-        "constants", (x, ring.mode, s_size), "accepted",
-        witnesses=[tuple(inverses)],
+        "constants", (x,), "accepted", witnesses=[tuple(inverses)],
     )
 
 

@@ -88,9 +88,10 @@ def test_find_special_congruent_first_indices():
 
 
 def test_product_spec():
-    spec = CycloProductSpec(1, [2, 6])
-    assert spec.expand() == cyclotomic(2) * cyclotomic(6)
-    assert spec.period() == 6
+    spec = CycloProductSpec(-1, [6, 2])
+    assert spec.indices == [2, 6]
+    # Phi_2 * Phi_6 has degree 3, so mod T^8 the product is exact
+    assert spec.expand_mod(8) == -cyclotomic(2) * cyclotomic(6)
     with pytest.raises(ValueError):
         CycloProductSpec(1, [2, 2])
 

@@ -101,9 +101,8 @@ def test_padic_xi_construct():
     assert xi.xi1 == 3**12 and xi.xi3 == 3
     assert h == Poly([3, 3**10] + [0] * 4 + [1])
     assert cert.verdict and cert.r == 2
-    # target polynomial evaluates consistently with h under W = p^2 T
-    target = xi.target(T * T)
-    assert target == 3**12 * T**6 + T + 3
+    # h is xi1*(f^3 + T) + xi3 under W = p^2 T
+    assert h.compose(9 * T) == 3**12 * (T**6 + T) + 3
     for f in (T * T + 1, T * T + T + 1):
         for p in (2, 5):
             _, _, cert = padic_xi_construct(f, p)

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from importlib import resources
 from math import isqrt
@@ -47,7 +50,9 @@ def test_report_json_schema_and_order():
     assert [c["name"] for c in doc["checks"]] == ["alpha", "zeta"]
 
 
-@pytest.mark.parametrize("argv", [
+# One query per subcommand and option path; each must exit 0 with a
+# schema-valid report.
+SUBCOMMAND_ARGVS = [
     ["pell", "--s", "t", "--n", "3"],
     ["pell", "--s", "2*t", "--n", "2", "--check-laws", "--bound", "6"],
     ["defsys", "exp", "--base", "2", "--result", "8", "--exp", "3"],
@@ -67,11 +72,34 @@ def test_report_json_schema_and_order():
     ["par", "theta", "--n", "42"],
     ["par", "eval", "--n", "7"],
     ["par", "five-squares", "--poly", "t^2+1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS)
 def test_cli_subcommands_emit_valid_reports(argv, capsys):
     code, out = _run_cli(["--format", "json"] + argv, capsys)
     assert code == 0, out
     jsonschema.validate(json.loads(out), _schema())
+
+
+def test_qform_reciprocity_fails_on_a_wrong_symbol_under_O():
+    """With the Hilbert symbol at p = 5 negated, the symbols of (2, 5)
+    multiply to -1, so `qform report` fails its reciprocity check.  Run
+    under python -O, where the library's own assert is gone."""
+    script = (
+        "import sys\n"
+        "from diobench import cli, quadforms as qf\n"
+        "symbol = qf.hilbert_symbol\n"
+        "qf.hilbert_symbol = lambda a, b, v: "
+        "-symbol(a, b, v) if v == 5 else symbol(a, b, v)\n"
+        "sys.exit(cli.main(['--format', 'json', 'qform', 'report', "
+        "'--a', '2', '--b', '5']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 1, run.stderr
+    checks = {c["name"]: c["status"] for c in json.loads(run.stdout)["checks"]}
+    assert checks["reciprocity"] == "fail"
 
 
 def test_cli_pell_example(capsys):
@@ -126,6 +154,9 @@ def test_cli_exit_codes(capsys):
     ["par", "five-squares", "--poly", "1+t^2", "--witness-limit", "0"],
     ("0", ["par", "five-squares", "--poly", "1+t^2"]),
     ["cyclo", "approx", "--indices", "3"],
+    # |n| * deg s above cli.PELL_DEGREE_MAX
+    ["pell", "--s", "t", "--n", "3000"],
+    ["pell", "--s", "t^2", "--n", "201"],
 ])
 def test_cli_bad_input_exits_2(argv, capsys, monkeypatch):
     if isinstance(argv, tuple):

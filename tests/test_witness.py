@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diobench import witness
-from diobench.intarith import localized_at
 from diobench.pellpairs import epsilon, pell_pair
 from diobench.polynomial import Poly, QuadExt, T
 from diobench.witness import (
@@ -28,12 +27,11 @@ def test_constants_system_examples():
     rep = constants_system(5)
     assert rep.accepted and rep.fold_count == 1
     assert rep.witnesses[0] == (Fraction(1, 26), Fraction(1, 27))
+    assert rep.to_dict()["input"] == ["5"]
+    assert constants_system(Fraction(-1, 2)).witnesses == [
+        (Fraction(4, 5), Fraction(4, 9))]
     assert constants_system(T).verdict == "refuted"
     assert constants_system(T - 3).verdict == "refuted"
-    # localized ring: pi = 2, inverses must avoid the prime 2
-    rep = constants_system(3, ring=localized_at(2))
-    assert rep.accepted
-    assert rep.witnesses[0] == (Fraction(1, 19), Fraction(1, 21))
 
 
 @pytest.mark.parametrize("c", range(-6, 7))
