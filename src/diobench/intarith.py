@@ -233,4 +233,3 @@ def four_squares(n):
     sol = tuple(scale * x for x in four_squares_raw(m))
     assert sum(x * x for x in sol) == n
     return sol
-

@@ -32,8 +32,8 @@ UNREACHED_ALLOWED = {
 }
 
 # Runs in the child: read argv lists from stdin, run each through cli.main
-# with output discarded, print the (file, qualname) of every code object in
-# the package that was entered.
+# with output discarded, print the (file, first line) of every code object
+# in the package that was entered.
 _CHILD = """
 import io, json, os, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -53,7 +53,7 @@ for argv in argvs:
         cli.main(argv)
 sys.setprofile(None)
 print(json.dumps(sorted(
-    (code.co_filename[len(root):], code.co_qualname)
+    (code.co_filename[len(root):], code.co_firstlineno)
     for code in entered if code.co_filename.startswith(root))))
 """
 
@@ -68,14 +68,17 @@ def _traffic():
 
 
 def _defs():
-    """(file, qualname) of every def in the package, as the compiler names
-    it: methods as Class.f, nested functions as f.<locals>.g."""
-    out = set()
+    """Map (file, first line) of every def in the package to its qualified
+    name: methods as Class.f, nested functions as f.<locals>.g.  A code
+    object's first line is that of its first decorator, if any."""
+    out = {}
 
     def walk(node, prefix, fname):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.add((fname, prefix + child.name))
+                first = min([d.lineno for d in child.decorator_list]
+                            + [child.lineno])
+                out[fname, first] = (fname, prefix + child.name)
                 walk(child, f"{prefix}{child.name}.<locals>.", fname)
             elif isinstance(child, ast.ClassDef):
                 walk(child, f"{prefix}{child.name}.", fname)
@@ -94,8 +97,7 @@ def test_every_def_is_reached_from_the_cli():
         [sys.executable, "-c", _CHILD], input=json.dumps(_traffic()),
         capture_output=True, text=True, env=env, check=True)
     reached = {tuple(e) for e in json.loads(child.stdout)}
-    defs = _defs()
-    unreached = defs - reached
+    unreached = {name for key, name in _defs().items() if key not in reached}
     extra = sorted(unreached - UNREACHED_ALLOWED.keys())
     assert not extra, (
         f"reached only by unit tests, route from the CLI or delete: {extra}")
