@@ -5,3 +5,11 @@ verdict.
 """
 
 __version__ = "0.1.0"
+
+
+class SelfCheckError(Exception):
+    """A result failed the cross-check its construction makes of it.
+
+    Raised instead of `assert`, so that `python -O` keeps the check; a
+    criterion reports it as `fail` and the CLI as a failed check (exit 1).
+    """

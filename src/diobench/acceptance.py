@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from diobench import SelfCheckError
 from diobench import cyclotomic as cyc
 from diobench import parencode as pe
 from diobench import quadforms as qf
@@ -134,7 +135,7 @@ def forweak_random(count, seed):
         ]
         F = Poly(coeffs)
         d = rng.randrange(1, 9)
-        spec = cyc.forweak_approx(F, d)  # asserts F == M mod T^d
+        spec = cyc.forweak_approx(F, d)  # checks F == M mod T^d
         if len(set(spec.indices)) != len(spec.indices):
             return False, f"repeated index, case {i}"
         for n in spec.indices:
@@ -166,7 +167,7 @@ def approx_points():
             if _coprime_components(pm, qn):
                 sets.append([pm, qn])
         for s in sets:
-            point = cyc.approx_point(s)  # asserts off-index and m <= 2 cases
+            point = cyc.approx_point(s)  # checks off-index and m <= 2 cases
             for rec in point.records:
                 if not rec["asserted"]:
                     measured.append(
@@ -317,7 +318,10 @@ def run_criterion(name, profile="full", seed=0):
     kwargs = dict(quick if profile == "quick" else full)
     if seeded:
         kwargs["seed"] = seed
-    status, details = globals()[fn](**kwargs)
+    try:
+        status, details = globals()[fn](**kwargs)
+    except SelfCheckError as e:
+        status, details = "fail", str(e)
     return Check(name, status, details)
 
 

@@ -14,7 +14,8 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from diobench import acceptance, cyclotomic as cyc, parencode as pe
+from diobench import SelfCheckError, acceptance, cyclotomic as cyc
+from diobench import parencode as pe
 from diobench import quadforms as qf, witness as wit
 from diobench.pellpairs import (
     check_degree_law,
@@ -28,6 +29,11 @@ from diobench.reports import Report
 # superlinear in it (s = t, as a process on 2 cores: 0.4 s at n = 400,
 # 11 s at n = 1600).
 PELL_DEGREE_MAX = 400
+
+# Ceiling on bound * deg s for `pell --check-laws`, which builds the pairs up
+# to the bound and makes bound^2 exact divisions (as a process on 2 cores,
+# s = t takes 0.3 s at bound 60 and took 3.5 s at bound 160).
+PELL_LAWS_MAX = 60
 
 
 def env_bound(default):
@@ -85,6 +91,9 @@ def cmd_pell(args):
         bound = env_bound(args.bound)
         if bound < 1:
             raise ValueError(f"--check-laws needs a bound >= 1, got {bound}")
+        if bound * s.degree > PELL_LAWS_MAX:
+            raise ValueError(f"--check-laws needs bound * deg s <= "
+                             f"{PELL_LAWS_MAX}, got {bound} * {s.degree}")
         ok = all(check_degree_law(s, n)["pass"]
                  for n in range(1, bound + 1))
         report.add("degree-law", ok, f"n <= {bound}")
@@ -359,6 +368,8 @@ def main(argv=None):
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except SelfCheckError as e:
+        report = Report(args.command).add("self-check", False, str(e))
     report.elapsed = time.time() - t0
     if args.format == "json":
         print(report.to_json())

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
+from diobench import SelfCheckError
 from diobench.intarith import (
     crt,
     divisors,
@@ -19,7 +20,6 @@ from diobench.intarith import (
     radical,
 )
 from diobench.polynomial import (
-    ONE,
     Poly,
     poly_mod_p,
     resultant,
@@ -29,15 +29,54 @@ from diobench.polynomial import (
 CYCLO_MAX = 10**4
 
 
+def _moebius_factors(n):
+    """The d | n with mu(n/d) = 1 and those with mu(n/d) = -1, for n >= 1:
+    each prime of n splits every d so far into d and d/p of opposite sign."""
+    num, den = [n], []
+    for p in factorize(n):
+        num, den = num + [d // p for d in den], den + [d // p for d in num]
+    return num, den
+
+
+def _times_one_minus(c, d):
+    """c * (1 - T^d) for an ascending coefficient list c, in one pass."""
+    out = c + [0] * d
+    out[d:] = [x - y for x, y in zip(out[d:], c)]
+    return out
+
+
+def _over_one_minus(c, d, length):
+    """The first `length` coefficients of the series c / (1 - T^d), by the
+    recurrence q_i = c_i + q_(i-d), one slice of d at a time."""
+    q = (c + [0] * length)[:length]
+    for s in range(d, length, d):
+        q[s:s + d] = [x + y for x, y in zip(q[s:s + d], q[s - d:s])]
+    return q
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n):
-    """Phi_n via T^n - 1 = prod_{d|n} Phi_d, by repeated exact division."""
+    """Phi_n = prod_{d|n} (1 - T^d)^mu(n/d) for n > 1 (Phi_1 = T - 1).
+
+    The numerator factors are multiplied in first, then each denominator
+    factor is divided out exactly; its last d series coefficients must
+    vanish, or SelfCheckError is raised.
+    """
     if not 1 <= n <= CYCLO_MAX:
         raise ValueError(f"n = {n} out of range [1, {CYCLO_MAX}]")
-    num = Poly.monomial(n) - 1
-    for d in sorted(divisors(n))[:-1]:
-        num = num.exact_div(cyclotomic(d))
-    return num
+    if n == 1:
+        return Poly([-1, 1])
+    num, den = _moebius_factors(n)
+    c = [1]
+    for d in num:
+        c = _times_one_minus(c, d)
+    for d in den:
+        q = _over_one_minus(c, d, len(c))
+        if any(q[-d:]):
+            raise SelfCheckError(f"1 - T^{d} does not divide the product "
+                                 f"for Phi_{n}")
+        c = q[:-d]
+    return Poly(c)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -50,26 +89,20 @@ def _trunc_mul(a, b, B):
     return (a * b).truncate(B)
 
 
-def _trunc_inv_one_minus(k, B):
-    # (1 - T^k)^(-1) = 1 + T^k + T^(2k) + ... mod T^B
-    return Poly([1 if i % k == 0 else 0 for i in range(B)])
-
-
 def cyclotomic_mod(n, B):
-    """Phi_n mod T^B without full expansion, via
-    Phi_n = prod_{d|n} (1 - T^d)^{mu(n/d)} for n > 1."""
+    """Phi_n mod T^B without full expansion: the passes of `cyclotomic`
+    truncated at B, skipping the factors 1 - T^d with d >= B."""
     if n == 1:
         return Poly([-1, 1]).truncate(B)
-    acc = ONE
-    for d in divisors(n):
-        if d >= B:
-            continue
-        mu = moebius(n // d)
-        if mu == 1:
-            acc = _trunc_mul(acc, Poly([1] + [0] * (d - 1) + [-1]), B)
-        elif mu == -1:
-            acc = _trunc_mul(acc, _trunc_inv_one_minus(d, B), B)
-    return acc
+    num, den = _moebius_factors(n)
+    c = [1]
+    for d in num:
+        if d < B:
+            c = _times_one_minus(c, d)[:B]
+    for d in den:
+        if d < B:
+            c = _over_one_minus(c, d, B)
+    return Poly(c)
 
 
 @dataclass(frozen=True)
@@ -162,7 +195,7 @@ def find_special_congruent(d, s, count, avoid_primes=frozenset()):
             n = p * p2 * m
         used.add(p)
         if cyclotomic_mod(n, 2 * d) != target:
-            raise AssertionError(f"constructed index {n} fails the congruence")
+            raise SelfCheckError(f"constructed index {n} fails the congruence")
         found.append((n, p))
     return found
 
@@ -221,7 +254,9 @@ def forweak_approx(F, d):
             M = _trunc_mul(M, cyclotomic_mod(n, d), d)
             indices.append(n)
     spec = CycloProductSpec(sign, indices)
-    assert spec.expand_mod(d) == F.truncate(d)
+    if spec.expand_mod(d) != F.truncate(d):
+        raise SelfCheckError(f"the product of Phi_n, n in {spec.indices}, "
+                             f"differs from {F} mod T^{d}")
     return spec
 
 
@@ -273,8 +308,9 @@ def approx_point(indices):
             "target": target, "measured": measured,
             "asserted": sf.m in (1, 2),
         }
-        if sf.m in (1, 2):
-            assert measured == target, rec
+        if sf.m in (1, 2) and measured != target:
+            raise SelfCheckError(f"ord_{sf.p}(Phi_{sf.n}(c)) = {measured}, "
+                                 f"not phi({sf.m}) = {target}")
         # off-index orders vanish (excluding n_i and the index m_i itself,
         # where Phi_m(c) == Phi_m(root of unity) = 0 mod p can occur)
         off = {}
@@ -283,10 +319,12 @@ def approx_point(indices):
                 continue
             v = ord_int(cyclotomic(j)(c), sf.p)
             off[j] = v
-            assert v == 0, (sf, j, v)
+            if v != 0:
+                raise SelfCheckError(f"off-index ord_{sf.p}(Phi_{j}(c)) = {v}")
         rec["off_index_orders"] = off
         records.append(rec)
-    assert all(r == c % m for r, m in zip(residues, moduli))
+    if any(r != c % m for r, m in zip(residues, moduli)):
+        raise SelfCheckError(f"the CRT point {c} misses a lift")
     point = ApproxPoint(c, 1)
     point.modulus = 1
     for m in moduli:

@@ -8,7 +8,7 @@ polynomial has empty coefficients and degree None.
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from diobench.intarith import divisors
 
@@ -380,13 +380,53 @@ def _sign_changes(vals):
 
 
 def sturm_chain(p):
+    """The Sturm chain of p, fraction-free: each member is a positive
+    multiple of the chain p, p', -(p mod p'), ... over Q, so every sign
+    count and the degree of the last member are those of that chain.
+
+    p is scaled by a positive integer that clears its denominators; each
+    next member is the negated pseudo-remainder of the two before it,
+    divided by its positive content.
+    """
     p = Poly.coerce(p)
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree is not None and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero():
-        chain.pop()
+    den = lcm(*(c.denominator for c in p.coeffs if type(c) is not int))
+    a = [c * den if type(c) is int else c.numerator * (den // c.denominator)
+         for c in p.coeffs]
+    chain = [Poly(a)]
+    b = chain[0].derivative().coeffs
+    while b:
+        chain.append(Poly(b))
+        if len(b) == 1:
+            break
+        a, b = b, _neg_prem_primitive(a, b)
     return chain
+
+
+def _neg_prem_primitive(a, b):
+    """-(a mod b) times a positive rational, with integer coprime entries,
+    for integer coefficient lists a, b with len(a) >= len(b) >= 2.
+
+    Each step scales the remainder by |lc b| / g, g = gcd(top, lc b), a
+    positive integer, so the pseudo-remainder |lc b|^k * a mod b differs
+    from the result only by a positive factor that the content removes.
+    """
+    lc = b[-1]
+    r = list(a)
+    while len(r) >= len(b):
+        top = r.pop()
+        g = gcd(top, lc)
+        scale, c = abs(lc) // g, top // g * (1 if lc > 0 else -1)
+        shift = len(r) - len(b) + 1
+        if scale != 1:
+            r = [scale * x for x in r]
+        for i, x in enumerate(b[:-1]):
+            r[shift + i] -= c * x
+        while r and r[-1] == 0:
+            r.pop()
+    g = 0
+    for x in r:
+        g = gcd(g, x)
+    return [-x // g for x in r]
 
 
 def cauchy_bound(p):

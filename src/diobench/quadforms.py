@@ -207,10 +207,10 @@ def _f_cubed_plus_t(f):
 
 
 def padic_xi_construct(f, p):
-    """xi parameters making xi1*f^3 + T + xi3 Eisenstein-certified at p.
+    """xi parameters making xi1*f^3 + xi2*T + xi3 Eisenstein-certified at p.
 
     With F = f^3 + T of degree n: r = minimal value >= 0 with
-    ord_p(p^r * a_i / a_n) >= 2 for all i < n; xi1 = p^(n r)/a_n, xi2 = 1,
+    ord_p(p^r * a_i / a_n) >= 2 for all i < n; xi1 = xi2 = p^(n r)/a_n,
     xi3 = p.  Substituting W = p^r T turns xi1*F + xi3 into a monic h(W)
     meeting the certificate with parameter 2, so the root field is totally
     ramified of even degree n.
@@ -226,7 +226,8 @@ def padic_xi_construct(f, p):
             continue
         need = 2 - ord_p(Fraction(F[i]) / an, p)
         r = max(r, need)
-    xi = XiTriple(Fraction(p) ** (n * r) / an, Fraction(1), Fraction(p))
+    xi1 = Fraction(p) ** (n * r) / an
+    xi = XiTriple(xi1, xi1, Fraction(p))
     # h(W) = W^n + sum_{i<n} p^{(n-i)r} (a_i/a_n) W^i + xi3
     coeffs = [Fraction(p) ** ((n - i) * r) * Fraction(F[i]) / an
               for i in range(n)]
@@ -234,9 +235,9 @@ def padic_xi_construct(f, p):
     h = Poly(coeffs + [1])
     cert = eisenstein_certify(h, p)
     assert cert.verdict and cert.r == 2, cert.to_dict()
-    # cross-check: h really is xi1*F + xi3 with W = p^r T
+    # cross-check: h(p^r T) really is xi1*f^3 + xi2*T + xi3
     assert h.compose(Poly([0, Fraction(p) ** r])) == (
-        xi.xi1 * F + xi.xi3
+        xi.xi1 * (F - T) + xi.xi2 * T + xi.xi3
     ), "substitution mismatch"
     return xi, h, cert
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from diobench.pellpairs import epsilon, pell_pair
-from diobench.polynomial import ONE, Poly, QuadExt, T
+from diobench.polynomial import ONE, ZERO, Poly, QuadExt, T
 
 
 @dataclass
@@ -171,7 +171,10 @@ def exp_system(b, c, d, bound=None, desk=DESK):
     second relation to hold, so the search is direct.  Witnesses are
     deduplicated by the underlying ring values (u, w, x, y), which folds the
     spurious sign ambiguity at c = 0 or d = 0.  The second relation depends
-    on d alone and is built once per (a, d).
+    on d alone and is built once per (a, d).  The first is read off
+    residues: with res the Q-linear map (eps - b).residue, it holds exactly
+    when res(eps^n) + s1*c*res(1) = 0, and the two residues are built once
+    per (a, b, n); the quotient is built only for a sign that passes.
     """
     b, c, d = int(b), int(c), int(d)
     if b == 0:
@@ -181,13 +184,14 @@ def exp_system(b, c, d, bound=None, desk=DESK):
     if bound is not None and n > bound:
         return WitnessReport("exp", (b, c, d), "refuted-to-bound", bound=bound)
     eps_n, d_quots = _exp_d_relation(desk.a.coeffs, d)
-    den1 = eps - _quad_const(b, eps.D)
+    (one_u, one_w), (res_u, res_w) = _exp_b_residues(desk.a.coeffs, b, n)
     witnesses = []
     for s1 in (1, -1):
-        num1 = eps_n + _quad_const(s1 * c, eps.D)
-        if not den1.divides(num1):
+        k = s1 * c
+        if (res_u + one_u * k, res_w + one_w * k) != (ZERO, ZERO):
             continue
-        x_quot = num1.exact_div(den1)
+        num1 = eps_n + _quad_const(k, eps.D)
+        x_quot = num1.exact_div(eps - _quad_const(b, eps.D))
         for s2, y_quot in d_quots:
             witnesses.append(
                 (n, s1, s2, eps_n.u, eps_n.w, x_quot.u, x_quot.w,
@@ -203,6 +207,18 @@ def exp_system(b, c, d, bound=None, desk=DESK):
     if unique:
         return WitnessReport("exp", (b, c, d), "accepted", witnesses=unique)
     return WitnessReport("exp", (b, c, d), "refuted")
+
+
+@lru_cache(maxsize=1 << 8)
+def _exp_b_residues(a_coeffs, b, n):
+    """(res(1), res(eps^n)) for eps at a, where res is (eps - b).residue.
+
+    N(eps - b) = 1 - 2ab + b^2 is nonzero for a nonconstant a and b != 0,
+    so the residues exist.
+    """
+    eps = epsilon(Poly(a_coeffs))
+    den = eps - _quad_const(b, eps.D)
+    return den.residue(QuadExt(1, 0, eps.D)), den.residue(eps ** n)
 
 
 @lru_cache(maxsize=1 << 6)

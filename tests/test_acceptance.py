@@ -2,11 +2,15 @@
 line) per row of `acceptance.CRITERIA`, at the full profile; the test id is
 the check name.  "measured" is a pass with data attached; only "fail"
 fails.  Mutation tests run rows at the quick profile with one fault
-injected and require "fail"; the table itself is checked against the
-suite's report and the functions' signatures."""
+injected and require "fail", one of them also under python -O; the table
+itself is checked against the suite's report and the functions'
+signatures."""
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,6 +68,13 @@ MUTATIONS = {
     "05-nonneg-gadget": (witness, "nonneg_gadget", _verdict("accepted")),
     "06-cyclo-base": (cyclotomic, "cyclotomic",
                       lambda right: lambda n: right(n) + 1),
+    # indices congruent to 1 - s*T^d, so the product misses F
+    "07-forweak": (cyclotomic, "find_special_congruent",
+                   lambda right: lambda d, s, count, avoid_primes=(): right(
+                       d, -s, count, avoid_primes=avoid_primes)),
+    "08-approx-point": (cyclotomic, "crt",
+                        lambda right: lambda residues, moduli: right(
+                            residues, moduli) + 1),
     "09-appendix-lemmas": (cyclotomic, "appendix_checks",
                            lambda right: lambda **kw: {**right(**kw),
                                                        "pass": False}),
@@ -96,3 +107,18 @@ def test_12_fails_when_pos_accepts_everything(monkeypatch, request):
     request.addfinalizer(parencode._five_squares_cached.cache_clear)
     monkeypatch.setattr(parencode, "pos_check", lambda F: True)
     assert acceptance.run_criterion("12-theta-par", "quick").status == "fail"
+
+
+def test_07_fails_under_O():
+    """The forweak self-check survives python -O, which drops asserts."""
+    script = (
+        "from diobench import acceptance, cyclotomic as cyc\n"
+        "right = cyc.find_special_congruent\n"
+        "cyc.find_special_congruent = lambda d, s, count, avoid_primes=(): "
+        "right(d, -s, count, avoid_primes=avoid_primes)\n"
+        "print(acceptance.run_criterion('07-forweak', 'quick').status)\n")
+    src = Path(acceptance.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, env=env)
+    assert run.stdout.split() == ["fail"], run.stderr

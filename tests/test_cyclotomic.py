@@ -26,9 +26,28 @@ def _sympy_phi(n):
     )])
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, 12, 30, 105, 128, 255])
+# truncation orders B for cyclotomic_mod; each n also adds deg Phi_n + 2
+TRUNCATIONS = (1, 2, 3, 7, 16, 50)
+
+
+def _check_against_sympy(n):
+    phi = _sympy_phi(n)
+    assert cyclotomic(n) == phi, n
+    for B in TRUNCATIONS + (phi.degree + 2,):
+        assert cyclotomic_mod(n, B) == phi.truncate(B), (n, B)
+
+
+# 420 = 2^2*3*5*7, 546 = 2*3*7*13, 1092 = 2^2*3*7*13 and 2310 = 2*3*5*7*11
+# have many factors 1 - T^d; 105 is the first n with a coefficient -2
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 30, 105, 128, 255,
+                               420, 546, 1092, 2310])
 def test_cyclotomic_matches_sympy(n):
-    assert cyclotomic(n) == _sympy_phi(n)
+    _check_against_sympy(n)
+
+
+def test_every_cyclotomic_up_to_300_matches_sympy():
+    for n in range(1, 301):
+        _check_against_sympy(n)
 
 
 def test_cyclotomic_basics():

@@ -20,12 +20,8 @@ from diobench.parencode import (
     theta,
     theta_inverse,
 )
-from diobench.polynomial import (
-    Poly,
-    T,
-    real_root_count,
-    squarefree_decomposition,
-)
+from diobench.polynomial import Poly, T, squarefree_decomposition
+from test_polynomial import fraction_root_count
 
 int_polys = st.builds(
     Poly, st.lists(st.integers(-8, 8), min_size=0, max_size=5)
@@ -85,13 +81,13 @@ def test_pos_check_repeated_call_agrees():
 
 
 def _pos_reference(F):
-    """Pos the long way: Yun's decomposition, then a Sturm count for each
-    factor of odd multiplicity."""
+    """Pos the long way: Yun's decomposition, then a Sturm count over Q
+    for each factor of odd multiplicity."""
     if F.is_zero():
         return True
     if F.degree % 2 or F.lead() < 0:
         return False
-    return all(real_root_count(f) == 0
+    return all(fraction_root_count(f) == 0
                for f, m in squarefree_decomposition(F) if m % 2)
 
 

@@ -128,15 +128,66 @@ def test_real_root_count():
     assert real_root_count(T**3 - T) == 3
 
 
+def fraction_sturm_chain(p):
+    """The Sturm chain p, p', -(p mod p'), ... of p over Q, each member an
+    ascending list of Fractions, by plain long division: the reference for
+    the library's fraction-free chain."""
+    a = [Fraction(c) for c in p.coeffs]
+    b = [i * c for i, c in enumerate(a)][1:]
+    chain = [a]
+    while b:
+        chain.append(b)
+        r = list(a)
+        while len(r) >= len(b):
+            q = r[-1] / b[-1]
+            for i, x in enumerate(b):
+                r[len(r) - len(b) + i] -= q * x
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, [-x for x in r]
+    return chain
+
+
+def _sign_changes(values):
+    signs = [v > 0 for v in values if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def fraction_root_count(p):
+    """Distinct real roots of a nonzero p: the sign changes of its Fraction
+    Sturm chain at -oo less those at +oo, read off leads and degrees."""
+    chain = fraction_sturm_chain(p)
+    return (_sign_changes([q[-1] if len(q) % 2 else -q[-1] for q in chain])
+            - _sign_changes([q[-1] for q in chain]))
+
+
 def _sturm_count(p, lo, hi):
     """Distinct real roots of p in (lo, hi], from the sign changes of its
-    Sturm chain at the two ends."""
-    chain = sturm_chain(p)
+    Fraction Sturm chain at the two ends."""
+    chain = fraction_sturm_chain(p)
 
     def changes(x):
-        signs = [v > 0 for v in (q(x) for q in chain) if v != 0]
-        return sum(s != t for s, t in zip(signs, signs[1:]))
+        return _sign_changes([sum(c * x**i for i, c in enumerate(q))
+                              for q in chain])
     return changes(lo) - changes(hi)
+
+
+@given(p=rat_polys)
+@example(p=(T * T - 1) ** 2 * (2 * T + 1))  # gcd(p, p') of degree 1
+@example(p=Poly([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 6)]))
+@settings(max_examples=200, deadline=None)
+def test_sturm_chain_is_a_positive_multiple_of_the_euclid_chain(p):
+    chain = sturm_chain(p)
+    ref = fraction_sturm_chain(p)
+    assert len(chain) == len(ref)
+    for q, r in zip(chain, ref):
+        assert all(type(c) is int for c in q.coeffs)
+        if not r:
+            assert q.is_zero()
+            continue
+        ratio = q.lead() / r[-1]
+        assert ratio > 0 and q == Poly([ratio * c for c in r])
 
 
 @given(a=nonzero_rat_polys, b=nonzero_rat_polys, k=st.integers(2, 3))

@@ -109,6 +109,21 @@ def test_padic_xi_construct():
             assert cert.verdict
 
 
+@pytest.mark.parametrize("f", [T * T, T * T + 1, T * T + T + 1,
+                               2 * T**4 + 3, Poly([1, 0, 3])])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_padic_xi_triple_rebuilds_h(f, p):
+    """h(p^r T) = xi1*f^3 + xi2*T + xi3, with p^r read off xi1 = p^(n r)/a_n
+    for n = deg f^3."""
+    xi, h, _ = padic_xi_construct(f, p)
+    n, an = 3 * f.degree, f.lead() ** 3
+    rs = [r for r in range(8) if Fraction(p) ** (n * r) / an == xi.xi1]
+    assert len(rs) == 1
+    r = rs[0]
+    assert h.compose(Poly([0, Fraction(p) ** r])) == (
+        xi.xi1 * f**3 + xi.xi2 * T + xi.xi3)
+
+
 def test_padic_xi_rejects_odd_degree():
     with pytest.raises(ValueError):
         padic_xi_construct(T, 3)

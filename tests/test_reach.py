@@ -31,6 +31,13 @@ UNREACHED_ALLOWED = {
         "the equal-constant branch of factor_small, e.g. T^4 + 4",
 }
 
+# Defs deleted because a better algorithm replaced them; they stay gone.
+DELETED = {
+    ("cyclotomic.py", "_trunc_inv_one_minus"):
+        "a dense series product; cyclotomic_mod divides by 1 - T^d in one "
+        "pass",
+}
+
 # Runs in the child: read argv lists from stdin, run each through cli.main
 # with output discarded, print the (file, first line) of every code object
 # in the package that was entered.
@@ -104,3 +111,8 @@ def test_every_def_is_reached_from_the_cli():
     # the allow-list names only defs that exist and are still unreached
     stale = sorted(UNREACHED_ALLOWED.keys() - unreached)
     assert not stale, f"allowed but reached or gone: {stale}"
+
+
+def test_deleted_defs_stay_gone():
+    back = sorted(DELETED.keys() & set(_defs().values()))
+    assert not back, f"deleted defs are back: {back}"

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from diobench import cli, kernels
+from diobench import cli, cyclotomic, kernels
 from diobench.reports import Check, Report
 
 
@@ -102,6 +102,27 @@ def test_qform_reciprocity_fails_on_a_wrong_symbol_under_O():
     assert checks["reciprocity"] == "fail"
 
 
+def test_pell_laws_at_the_ceiling(capsys):
+    code, out = _run_cli(["--format", "json", "pell", "--s", "t^2", "--n",
+                          "2", "--check-laws", "--bound",
+                          str(cli.PELL_LAWS_MAX // 2)], capsys)
+    assert code == 0, out
+
+
+def test_cli_reports_a_failed_self_check(capsys, monkeypatch):
+    """A SelfCheckError becomes a schema-valid report with one failed
+    check and exit 1, not a traceback."""
+    right = cyclotomic.crt
+    monkeypatch.setattr(cyclotomic, "crt", lambda r, m: right(r, m) + 1)
+    code, out = _run_cli(["--format", "json", "cyclo", "approx",
+                          "--indices", "3:2"], capsys)
+    doc = json.loads(out)
+    jsonschema.validate(doc, _schema())
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in doc["checks"]] == [
+        ("self-check", "fail")]
+
+
 def test_cli_pell_example(capsys):
     code, out = _run_cli(["--format", "json", "pell", "--s", "t",
                           "--n", "3"], capsys)
@@ -157,6 +178,9 @@ def test_cli_exit_codes(capsys):
     # |n| * deg s above cli.PELL_DEGREE_MAX
     ["pell", "--s", "t", "--n", "3000"],
     ["pell", "--s", "t^2", "--n", "201"],
+    # bound * deg s above cli.PELL_LAWS_MAX, from --bound or the knob
+    ["pell", "--s", "t", "--n", "3", "--check-laws", "--bound", "61"],
+    ("31", ["pell", "--s", "t^2", "--n", "3", "--check-laws"]),
 ])
 def test_cli_bad_input_exits_2(argv, capsys, monkeypatch):
     if isinstance(argv, tuple):

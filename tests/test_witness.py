@@ -10,6 +10,7 @@ from diobench.polynomial import Poly, QuadExt, T
 from diobench.witness import (
     DESK,
     DeskInstantiation,
+    WitnessReport,
     constants_system,
     exp_system,
     nonneg_gadget,
@@ -100,6 +101,42 @@ def test_exp_system_matches_definition(b, d, c):
     assert exp_system(b, c, d).accepted == (abs(c) == abs(b) ** abs(d))
 
 
+def _exp_reference(b, c, d, a):
+    """exp_system by its definition: each divisibility tested with
+    QuadExt.divides and each quotient built by exact division."""
+    eps = epsilon(a)
+    one = QuadExt(1, 0, eps.D)
+    n = abs(d)
+    power = eps**n
+    den1, den2 = eps - b * one, (eps - one) * (eps - one)
+    found = []
+    for s1 in (1, -1):
+        num1 = power + s1 * c * one
+        if not den1.divides(num1):
+            continue
+        x = num1.exact_div(den1)
+        for s2 in (1, -1):
+            num2 = d * (eps - one) + s2 * (power - one)
+            if den2.divides(num2):
+                y = num2.exact_div(den2)
+                w = (n, s1, s2, power.u, power.w, x.u, x.w, y.u, y.w)
+                if w[3:] not in [v[3:] for v in found]:
+                    found.append(w)
+    return WitnessReport("exp", (b, c, d),
+                         "accepted" if found else "refuted", witnesses=found)
+
+
+@pytest.mark.parametrize("a", [T, 2 * T])
+def test_exp_system_matches_reference(a):
+    desk = DeskInstantiation(a=a)
+    for b in [*range(-8, 0), *range(1, 9)]:
+        for d in range(-4, 5):
+            v = abs(b) ** abs(d)
+            for c in (v, -v, v + 1, -v - 1, v - 1, 0, 7):
+                assert (exp_system(b, c, d, desk=desk).to_dict()
+                        == _exp_reference(b, c, d, a).to_dict()), (b, c, d)
+
+
 def _eps_answers(desk):
     return (
         [singlefold_int(c, bound=8, desk=desk).to_dict() for c in (0, 3, -2)],
@@ -116,6 +153,7 @@ def test_eps_systems_answer_per_desk():
     for order in ((DESK, other), (other, DESK)):
         witness._q_ladder.cache_clear()
         witness._exp_d_relation.cache_clear()
+        witness._exp_b_residues.cache_clear()
         runs.append({desk.a: _eps_answers(desk) for desk in order})
     assert runs[0] == runs[1]
     assert runs[0][DESK.a] != runs[0][other.a]
