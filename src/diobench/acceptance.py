@@ -12,7 +12,7 @@ the approximation point (on-index valuations for m >= 3).
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from diobench import SelfCheckError
 from diobench import cyclotomic as cyc
@@ -26,7 +26,7 @@ from diobench.pellpairs import (
     pell_pair,
     recognize_solution,
 )
-from diobench.polynomial import Poly, T, factor_small, real_root_count
+from diobench.polynomial import Poly, T, real_root_count
 from diobench.reports import Check, Report
 
 S_FAMILY = (T, 2 * T, T * T, 3 * T + 1)
@@ -35,7 +35,7 @@ S_FAMILY = (T, 2 * T, T * T, 3 * T + 1)
 def pell_laws(bound):
     for s in S_FAMILY:
         for n in range(bound + 1):
-            pair = pell_pair(s, n)  # identity asserted inside
+            pair = pell_pair(s, n)  # identity checked inside
             if not pair.verify():
                 return False, f"identity at {s}, {n}"
             if n >= 1 and not check_degree_law(s, n)["pass"]:
@@ -225,13 +225,15 @@ XI_TEST_FORM = (2, 5)  # anisotropic exactly at 2 and 5
 
 def xi_constructors():
     diag = qf.anisotropy_report(*XI_TEST_FORM)
+    if prod(diag.symbols.values()) != 1:
+        return False, f"Hilbert reciprocity fails for {XI_TEST_FORM}"
     primes = [v for v in diag.anisotropic_places if v != qf.REAL]
     if not primes:
         return False, f"test form {XI_TEST_FORM} has no anisotropic prime"
     fs = (T * T, T * T + 1, T * T + T + 1)
     for f in fs:
         for p in primes:
-            xi, h, cert = qf.padic_xi_construct(f, p)  # cert asserted inside
+            xi, h, cert = qf.padic_xi_construct(f, p)  # cert checked inside
             if gcd(h.degree, cert.r - 1) != 1:
                 return False, f"gcd condition at f = {f}, p = {p}"
         xi, h = qf.real_xi_construct(f)
@@ -242,11 +244,47 @@ def xi_constructors():
                  (Poly([5, 0, 25, 0, 1]), 5)):
         if not qf.eisenstein_certify(g, p).verdict:
             return False, f"certify {g} at {p}"
-        _, factors = factor_small(g)
-        if len(factors) != 1 or factors[0][1] != 1:
+        if _monic_factor(g) is not None:
             return False, f"{g} factors over Q"
     return True, (f"p-adic and real xi for {len(fs)} polynomials at primes "
                   f"{primes}; certified => irreducible")
+
+
+def _monic_factor(g):
+    """A monic factor in Z[T] of degree 1 or 2 of the monic g in Z[T] of
+    degree 2 to 4, or None.
+
+    By Gauss's lemma a monic g in Z[T] that factors over Q factors into
+    monic integer polynomials, and at degree <= 4 one of them has degree 1
+    or 2.  An integer root divides g(0).  T^2 + bT + c times T^2 + dT + e
+    is g when ce = g(0), d = a3 - b, b(e - c) = a1 - c a3 and
+    b(a3 - b) = a2 - c - e; so b is pinned when e != c, and divides
+    a2 - 2c when e = c (b = 0 works if that is 0).
+    """
+    a0, a1, a2, a3 = g[0], g[1], g[2], g[3]
+    if a0 == 0:
+        return T
+    cands = [s * c for c in divisors(abs(a0)) for s in (1, -1)]
+    for r in cands:
+        if g(r) == 0:
+            return T - r
+    if g.degree < 4:
+        return None
+    for c in cands:
+        e = a0 // c
+        if e != c:
+            b, rem = divmod(a1 - c * a3, e - c)
+            bs = () if rem else (b,)
+        elif a1 != c * a3:
+            continue
+        else:
+            k = a2 - 2 * c
+            bs = (0,) if k == 0 else [s * b for b in divisors(abs(k))
+                                      for s in (1, -1)]
+        for b in bs:
+            if b * (a3 - b) == a2 - c - e:
+                return Poly([c, b, 1])
+    return None
 
 
 def theta_par(n_round, n_par, perturbations, seed):

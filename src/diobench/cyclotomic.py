@@ -3,9 +3,9 @@ product machinery: congruent-index construction, the approximation sweep,
 approximation points via CRT of Hensel lifts, and the appendix lemma checks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from diobench import SelfCheckError
 from diobench.intarith import (
@@ -264,7 +264,7 @@ def forweak_approx(F, d):
 class ApproxPoint:
     c: int
     modulus: int
-    records: list = field(default_factory=list)
+    records: list
 
     def to_dict(self):
         return {"c": self.c, "modulus": self.modulus,
@@ -325,12 +325,7 @@ def approx_point(indices):
         records.append(rec)
     if any(r != c % m for r, m in zip(residues, moduli)):
         raise SelfCheckError(f"the CRT point {c} misses a lift")
-    point = ApproxPoint(c, 1)
-    point.modulus = 1
-    for m in moduli:
-        point.modulus *= m
-    point.records = records
-    return point
+    return ApproxPoint(c, prod(moduli), records)
 
 
 def appendix_checks(n_max=200, grid=60):
@@ -369,8 +364,6 @@ def appendix_checks(n_max=200, grid=60):
                 if r % m == 0:
                     q = r // m
                     a = ord_int(q, p)
-                    if not isinstance(a, int):
-                        a = 0
                     ok = q == p**a and a >= 1
                 rec = {"r": r, "m": m, "p": p, "pass": ok}
                 report["divisibility"].append(rec)

@@ -7,6 +7,8 @@ decompositions.
 from fractions import Fraction
 from math import gcd
 
+from diobench import SelfCheckError
+
 
 class _Infinity:
     """Order of 0 at any prime: ``INF >= v`` holds for every order v."""
@@ -231,5 +233,6 @@ def four_squares(n):
         m //= 4
         scale *= 2
     sol = tuple(scale * x for x in four_squares_raw(m))
-    assert sum(x * x for x in sol) == n
+    if sum(x * x for x in sol) != n:
+        raise SelfCheckError(f"{sol} is no sum of four squares for {n}")
     return sol

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
+from diobench import SelfCheckError
 from diobench.pellpairs import pell_pair
 from diobench.polynomial import (
     Poly,
@@ -237,7 +238,9 @@ def _five_squares_cached(coeffs, g_max, witness_limit):
         found = _decompositions(G, k, witness_limit)
         if found:
             parts = found[0]
-            assert five_squares_verify(g, F, parts)
+            if not five_squares_verify(g, F, parts):
+                raise SelfCheckError(f"g^2 F != sum of the five squares at "
+                                     f"F = {F}, g = {g}")
             return {"status": "found", "g": g, "parts": parts,
                     "count": len(found),
                     "exhausted": len(found) >= witness_limit}

@@ -9,7 +9,8 @@ with n ranging over the integers (negative n via conjugation).
 from dataclasses import dataclass
 from functools import lru_cache
 
-from diobench.polynomial import ONE, Poly, QuadExt
+from diobench import SelfCheckError
+from diobench.polynomial import ONE, ZERO, Poly, QuadExt
 
 
 def discriminant(s):
@@ -48,10 +49,18 @@ def pell_pair(s, n):
 
 @lru_cache(maxsize=1 << 12)
 def _pell_cached(coeffs, n):
+    """(f_n, g_n) by the recurrence x_{k+1} = 2s x_k - x_{k-1}, which both
+    components of eps^k obey (eps + conj(eps) = 2s, eps conj(eps) = 1), from
+    (f_0, g_0) = (1, 0) and (f_1, g_1) = (s, 1); g_{-n} = -g_n."""
     s = Poly(coeffs)
-    z = epsilon(s) ** n
-    pair = PellPair(n, z.u, -z.w, s)
-    assert pair.verify()
+    two_s = 2 * s
+    f, g, f_next, g_next = ONE, ZERO, s, ONE
+    for _ in range(abs(n)):
+        f, f_next = f_next, two_s * f_next - f
+        g, g_next = g_next, two_s * g_next - g
+    pair = PellPair(n, f, g if n >= 0 else -g, s)
+    if not pair.verify():
+        raise SelfCheckError(f"f^2 - (s^2 - 1) g^2 != 1 at s = {s}, n = {n}")
     return pair
 
 

@@ -8,9 +8,7 @@ polynomial has empty coefficients and degree None.
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-
-from diobench.intarith import divisors
+from math import gcd, lcm
 
 
 def _norm_coeff(c):
@@ -486,135 +484,6 @@ def squarefree_decomposition(p):
     return out
 
 
-# -- small-degree rational factorization --------------------------------------
-
-
-def rational_roots(p):
-    """All rational roots of p, each listed once, sorted."""
-    p = Poly.coerce(p).primitive_part()
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    roots = set()
-    k = 0
-    while p[k] == 0:
-        roots.add(Fraction(0))
-        k += 1
-    if k:
-        p = Poly(p.coeffs[k:])
-    if p.degree == 0:
-        return sorted(roots)
-    a0, an = p.constant(), p.lead()
-    for q in divisors(abs(an)):
-        for r in divisors(abs(a0)):
-            for cand in (Fraction(r, q), Fraction(-r, q)):
-                if p(cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def factor_small(p):
-    """Factor p over Q into irreducibles; degree at most 4.
-
-    Returns (unit, [(monic_factor, multiplicity), ...]) sorted by degree then
-    coefficients.
-    """
-    p = Poly.coerce(p)
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree > 4:
-        raise ValueError("factor_small is limited to degree <= 4")
-    unit = Fraction(p.lead())
-    rem = p.monic()
-    factors = {}
-
-    def record(f):
-        factors[f] = factors.get(f, 0) + 1
-
-    for r in rational_roots(rem):
-        lin = Poly([-r, 1])
-        while lin.divides(rem):
-            record(lin)
-            rem = rem.exact_div(lin)
-    # rem now has no rational roots; split off irreducible quadratics
-    while rem.degree is not None and rem.degree >= 2:
-        if rem.degree in (2, 3):
-            # no rational root => irreducible (deg 3) or irreducible quadratic
-            record(rem)
-            rem = ONE
-            break
-        found = False
-        # degree 4, no rational roots: search for a monic quadratic factor
-        # x^2 + b*x + c via resultant of coefficient constraints; direct scan
-        # over candidate c | constant term is enough at this degree.
-        a3, a2, a1, a0 = (Fraction(rem[3]), Fraction(rem[2]),
-                         Fraction(rem[1]), Fraction(rem[0]))
-        pp = rem.primitive_part()
-        lead2 = pp.lead()
-        const2 = pp.constant()
-        # no rational roots => constant term nonzero
-        cands = set()
-        for qn in divisors(abs(const2)):
-            for qd in divisors(abs(lead2)):
-                cands.add(Fraction(qn, qd))
-                cands.add(Fraction(-qn, qd))
-        for c in sorted(cands):
-            if c == 0:
-                continue
-            # b satisfies: from x^4+a3x^3+a2x^2+a1x+a0 = (x^2+bx+c)(x^2+dx+e)
-            # with e = a0/c, d = a3 - b, and matching x^1: a1 = b*e + c*d
-            e = a0 / c
-            # a1 = b*e + c*(a3-b) => b*(e-c) = a1 - c*a3
-            if e == c:
-                if a1 != c * a3:
-                    continue
-                # b free along this line; pin with the x^2 match:
-                # a2 = e + c + b*d = e + c + b*(a3-b)
-                # b^2 - a3*b + (a2 - e - c) = 0
-                disc = a3 * a3 - 4 * (a2 - e - c)
-                rt = _fraction_sqrt(disc)
-                if rt is None:
-                    continue
-                bs = [(a3 + rt) / 2, (a3 - rt) / 2]
-            else:
-                b = (a1 - c * a3) / (e - c)
-                if a2 != e + c + b * (a3 - b):
-                    continue
-                bs = [b]
-            for b in bs:
-                quad = Poly([c, b, 1])
-                if quad.divides(rem):
-                    record(quad)
-                    rem = rem.exact_div(quad)
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            record(rem)
-            rem = ONE
-            break
-    if rem.degree is not None and rem.degree >= 1:
-        record(rem)
-    out = sorted(
-        factors.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)
-    )
-    check = Poly([unit])
-    for f, m in out:
-        check = check * f**m
-    assert check == p
-    return _norm_coeff(unit), out
-
-
-def _fraction_sqrt(q):
-    q = Fraction(q)
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 # -- quadratic extension R[T][sqrt(D)] ----------------------------------------
 
 
@@ -671,21 +540,6 @@ class QuadExt:
         return QuadExt(self.u * other, self.w * other, self.D)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            nm = self.norm()
-            if nm != ONE and nm != 1:
-                raise ValueError("negative power needs norm 1")
-            return self.conj() ** (-n)
-        result = QuadExt(1, 0, self.D)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def residue(self, x):
         """The components (u, w) of x * conj(self), each reduced modulo

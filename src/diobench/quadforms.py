@@ -9,8 +9,9 @@ oracle built on the search kernels.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
+from diobench import SelfCheckError
 from diobench.intarith import factorize, is_prime, ord_p
 from diobench.kernels import mod_scan_soluble
 from diobench.polynomial import ONE, Poly, T, cauchy_bound, real_root_count
@@ -136,21 +137,20 @@ def anisotropy_report(a, b):
     if a == 0 or b == 0:
         raise ValueError("arguments must be nonzero")
     symbols = {v: hilbert_symbol(a, b, v) for v in relevant_places(a, b)}
-    prod = 1
-    for s in symbols.values():
-        prod *= s
-    assert prod == 1, "Hilbert reciprocity violated"
-    # local special cases at odd p: a unit
+    # A product other than 1 is the caller's to report (the CLI's
+    # reciprocity check).  When it is 1, a wrong symbol can still break the
+    # local rule at an odd p where a is a unit.
+    reciprocal = prod(symbols.values()) == 1
     for v, s in symbols.items():
-        if v in (REAL, 2):
+        if not reciprocal or v in (REAL, 2):
             continue
         oa, ob = ord_p(a, v), ord_p(b, v)
         if oa == 0:
             au = _split(abs(_int_rep(a)), v)[1] * (1 if a > 0 else -1)
-            if _legendre(au, v) == -1 and ob % 2 == 1:
-                assert s == -1, (a, b, v)
-            if ob % 2 == 0:
-                assert s == 1, (a, b, v)
+            odd_nonsquare = _legendre(au, v) == -1 and ob % 2 == 1
+            if (odd_nonsquare and s != -1) or (ob % 2 == 0 and s != 1):
+                raise SelfCheckError(f"({a}, {b})_{v} = {s} breaks the "
+                                     f"unit rule")
     aniso = [v for v, s in symbols.items() if s == -1]
     return FormDiagnosis(a, b, symbols, aniso, not aniso)
 
@@ -234,11 +234,14 @@ def padic_xi_construct(f, p):
     coeffs[0] += xi.xi3
     h = Poly(coeffs + [1])
     cert = eisenstein_certify(h, p)
-    assert cert.verdict and cert.r == 2, cert.to_dict()
+    if not (cert.verdict and cert.r == 2):
+        raise SelfCheckError(f"h = {h} is not certified with r = 2 at {p}: "
+                             f"{cert.to_dict()}")
     # cross-check: h(p^r T) really is xi1*f^3 + xi2*T + xi3
-    assert h.compose(Poly([0, Fraction(p) ** r])) == (
-        xi.xi1 * (F - T) + xi.xi2 * T + xi.xi3
-    ), "substitution mismatch"
+    if h.compose(Poly([0, Fraction(p) ** r])) != (
+            xi.xi1 * (F - T) + xi.xi2 * T + xi.xi3):
+        raise SelfCheckError(f"h(p^r T) != xi1 f^3 + xi2 T + xi3 at "
+                             f"f = {f}, p = {p}")
     return xi, h, cert
 
 
@@ -263,7 +266,8 @@ def real_xi_construct(f):
         if real_root_count(h) == 0:
             break
         xi3 *= 2
-    assert h(0) > 0
+    if h(0) <= 0:
+        raise SelfCheckError(f"h = {h} is not positive at 0")
     return XiTriple(xi1, Fraction(1), xi3), h
 
 

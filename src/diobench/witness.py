@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from diobench import SelfCheckError
 from diobench.pellpairs import epsilon, pell_pair
 from diobench.polynomial import ONE, ZERO, Poly, QuadExt, T
 
@@ -218,7 +219,14 @@ def _exp_b_residues(a_coeffs, b, n):
     """
     eps = epsilon(Poly(a_coeffs))
     den = eps - _quad_const(b, eps.D)
-    return den.residue(QuadExt(1, 0, eps.D)), den.residue(eps ** n)
+    return (den.residue(QuadExt(1, 0, eps.D)),
+            den.residue(_eps_power(eps, n)))
+
+
+def _eps_power(eps, n):
+    """eps^n = f_n - sqrt(D) g_n, read off the Pell pair at eps.u, n >= 0."""
+    pair = pell_pair(eps.u, n)
+    return QuadExt(pair.f, -pair.g, eps.D)
 
 
 @lru_cache(maxsize=1 << 6)
@@ -227,7 +235,7 @@ def _exp_d_relation(a_coeffs, d):
     and each (s2, y) with (eps - 1)^2 y = d(eps - 1) + s2(eps^|d| - 1)."""
     eps = epsilon(Poly(a_coeffs))
     one = QuadExt(1, 0, eps.D)
-    eps_n = eps ** abs(d)
+    eps_n = _eps_power(eps, abs(d))
     e1 = eps - one
     den2 = e1 * e1
     quots = []
@@ -305,8 +313,11 @@ def odd_integer_system(r=None, tuple_=None, bound=None):
         ok = all(rel.values())
         if ok:
             a = tup[0]
-            assert a.is_constant() and Fraction(a.constant()).denominator == 1
-            assert int(a.constant()) % 2 == 1
+            if not (a.is_constant()
+                    and Fraction(a.constant()).denominator == 1
+                    and int(a.constant()) % 2 == 1):
+                raise SelfCheckError(f"accepted tuple has a = {a}, "
+                                     f"not an odd integer")
             return WitnessReport(
                 "odd-int", tup, "accepted", witnesses=[tup],
                 notes=f"certified odd integer a = {a.constant()}",
@@ -377,10 +388,12 @@ def nonneg_gadget(d):
         return WitnessReport("nonneg", (0,), "accepted",
                              notes="d = 0 accepted by convention")
     b = (d**4 + 1) ** abs(2 * d)
-    exp_ok = exp_system(d**4 + 1, b, 2 * d).accepted
-    assert exp_ok
+    if not exp_system(d**4 + 1, b, 2 * d).accepted:
+        raise SelfCheckError(f"exp system refutes b = (d^4 + 1)^|2d| "
+                             f"at d = {d}")
     q, rem = divmod(b - 1, d**4)
-    assert rem == 0
+    if rem:
+        raise SelfCheckError(f"d^4 does not divide b - 1 at d = {d}")
     mod = d**4
     ok = (2 * d - q) % mod == 0
     notes = ""

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diobench import acceptance, cli
@@ -12,6 +14,7 @@ from diobench.pellpairs import (
     recognize_solution,
 )
 from diobench.polynomial import ONE, Poly, T
+from test_polynomial import quad_power
 
 S_FAMILY = [T, 2 * T, T * T, 3 * T + 1]
 s_strategy = st.sampled_from(S_FAMILY)
@@ -25,6 +28,25 @@ def test_pell_pair_examples():
     assert pell_pair(T, 0).f == ONE and pell_pair(T, 0).g == Poly()
     p = pell_pair(T, -2)  # conjugate branch
     assert p.f == 2 * T * T - 1 and p.g == -2 * T
+
+
+# s = c0 + c1 T with rational coefficients, so the pairs live in Q[T]
+rational_s = st.builds(
+    lambda c0, c1: Poly([c0, c1]),
+    st.fractions(-3, 3, max_denominator=5),
+    st.fractions(-3, 3, max_denominator=5).filter(bool),
+)
+
+
+@given(s=st.one_of(s_strategy, rational_s), n=st.integers(-20, 20))
+@example(s=Poly([Fraction(1, 2), Fraction(1, 3)]), n=-7)  # the README's s
+@settings(max_examples=150, deadline=None)
+def test_pell_pair_is_the_eps_power(s, n):
+    """The recurrence against eps^n built by repeated multiplication (of
+    conj(eps) for n < 0)."""
+    power = quad_power(epsilon(s), n)
+    pair = pell_pair(s, n)
+    assert (pair.n, pair.f, pair.g) == (n, power.u, -power.w)
 
 
 @given(s=s_strategy, n=st.integers(-30, 30))

@@ -27,8 +27,6 @@ UNREACHED_ALLOWED = {
     ("polynomial.py", "QuadExt.__eq__"): "tests compare QuadExt values with it",
     ("witness.py", "DeskInstantiation.__post_init__"):
         "runs at import, before the profiler is on",
-    ("polynomial.py", "_fraction_sqrt"):
-        "the equal-constant branch of factor_small, e.g. T^4 + 4",
 }
 
 # Defs deleted because a better algorithm replaced them; they stay gone.
@@ -36,6 +34,13 @@ DELETED = {
     ("cyclotomic.py", "_trunc_inv_one_minus"):
         "a dense series product; cyclotomic_mod divides by 1 - T^d in one "
         "pass",
+    ("polynomial.py", "QuadExt.__pow__"):
+        "eps^n is the Pell pair (f_n, g_n), built by its recurrence",
+    ("polynomial.py", "factor_small"):
+        "c11's irreducibility test finds a monic integer factor directly "
+        "(Gauss's lemma)",
+    ("polynomial.py", "rational_roots"): "as factor_small",
+    ("polynomial.py", "_fraction_sqrt"): "as factor_small",
 }
 
 # Runs in the child: read argv lists from stdin, run each through cli.main
@@ -116,3 +121,16 @@ def test_every_def_is_reached_from_the_cli():
 def test_deleted_defs_stay_gone():
     back = sorted(DELETED.keys() & set(_defs().values()))
     assert not back, f"deleted defs are back: {back}"
+
+
+def test_only_the_crt_invariant_is_asserted():
+    """python -O drops asserts, so a check that backs a verdict raises
+    SelfCheckError instead.  The one assert left guards an invariant of crt:
+    its moduli are checked pairwise coprime before the loop runs."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        src = path.read_text()
+        found += [(path.name, ast.get_source_segment(src, node))
+                  for node in ast.walk(ast.parse(src))
+                  if isinstance(node, ast.Assert)]
+    assert found == [("intarith.py", "assert g == 1")], found

@@ -84,8 +84,8 @@ def test_cli_subcommands_emit_valid_reports(argv, capsys):
 
 def test_qform_reciprocity_fails_on_a_wrong_symbol_under_O():
     """With the Hilbert symbol at p = 5 negated, the symbols of (2, 5)
-    multiply to -1, so `qform report` fails its reciprocity check.  Run
-    under python -O, where the library's own assert is gone."""
+    multiply to -1, so `qform report` fails its reciprocity check, with
+    and without python -O (which drops asserts)."""
     script = (
         "import sys\n"
         "from diobench import cli, quadforms as qf\n"
@@ -95,11 +95,13 @@ def test_qform_reciprocity_fails_on_a_wrong_symbol_under_O():
         "sys.exit(cli.main(['--format', 'json', 'qform', 'report', "
         "'--a', '2', '--b', '5']))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-O", "-c", script],
-                         capture_output=True, text=True, env=env)
-    assert run.returncode == 1, run.stderr
-    checks = {c["name"]: c["status"] for c in json.loads(run.stdout)["checks"]}
-    assert checks["reciprocity"] == "fail"
+    for flags in (["-O"], []):
+        run = subprocess.run([sys.executable, *flags, "-c", script],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 1, run.stderr
+        checks = {c["name"]: c["status"]
+                  for c in json.loads(run.stdout)["checks"]}
+        assert checks["reciprocity"] == "fail"
 
 
 def test_pell_laws_at_the_ceiling(capsys):

@@ -18,6 +18,7 @@ from diobench.witness import (
     odd_integer_system,
     singlefold_int,
 )
+from test_polynomial import quad_power
 
 small_polys = st.builds(
     Poly, st.lists(st.integers(-5, 5), min_size=0, max_size=4)
@@ -50,14 +51,15 @@ def _singlefold_reference(c, bound, a):
     one = QuadExt(1, 0, eps.D)
     den = eps - one
     found = []
+    power = one  # eps^n = u - sqrt(a^2 - 1) * g
     for n in range(bound + 1):
-        power = eps**n  # u - sqrt(a^2 - 1) * g
         q = (power - one).exact_div(den)
         for sign in (1, -1):
             if den.divides(q - sign * c):
                 key = (n, power.u, -power.w)
                 if key not in [(w[0], w[2], w[3]) for w in found]:
                     found.append((n, sign, power.u, -power.w))
+        power = power * eps
     return found
 
 
@@ -107,7 +109,7 @@ def _exp_reference(b, c, d, a):
     eps = epsilon(a)
     one = QuadExt(1, 0, eps.D)
     n = abs(d)
-    power = eps**n
+    power = quad_power(eps, n)
     den1, den2 = eps - b * one, (eps - one) * (eps - one)
     found = []
     for s1 in (1, -1):
