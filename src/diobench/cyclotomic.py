@@ -355,10 +355,11 @@ def appendix_checks(n_max=200, grid=60):
     for m in range(1, grid + 1):
         for r in range(m + 1, grid + 1):
             for p in (2, 3, 5, 7, 11, 13):
-                rp = resultant_fp(_cyclotomic_mod_p(m, p),
-                                  _cyclotomic_mod_p(r, p), p)
-                if rp != 0 or m % p == 0:
-                    continue  # hypothesis: p coprime to the root index
+                # hypotheses: p coprime to the root index (tested first, as
+                # it is free) and p | Res(Phi_m, Phi_r)
+                if m % p == 0 or resultant_fp(_cyclotomic_mod_p(m, p),
+                                              _cyclotomic_mod_p(r, p), p):
+                    continue
                 ok = False
                 a = 0
                 if r % m == 0:

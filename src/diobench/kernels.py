@@ -4,6 +4,8 @@ local-solubility oracle.
 ``BACKEND`` names the implementation; it is always ``"python"``.
 """
 
+from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 BACKEND = "python"
@@ -34,31 +36,37 @@ def four_squares_raw(n):
     raise AssertionError("four-square decomposition not found")
 
 
+@lru_cache(maxsize=32)
+def _squares_mod(m):
+    """The squares mod m: a flag per residue, and the distinct squares."""
+    flags = bytearray(m)
+    for z in range(m // 2 + 1):
+        flags[z * z % m] = 1
+    return bytes(flags), tuple(compress(range(m), flags))
+
+
 def mod_scan_soluble(a, b, m):
     """Exhaustive test for a primitive solution of z^2 = a*x^2 + b*y^2 mod m.
 
     m is a power of a prime.  A primitive solution has at least one
     coordinate that is a unit; scaling by that unit's inverse reduces the
-    search to the three one-dimensional scans below.
+    search to the three one-dimensional scans below.  Each scan runs over
+    the distinct squares s = y^2 mod m, read from one table per modulus.
     """
     a %= m
     b %= m
-    squares = bytearray(m)
-    for z in range(m // 2 + 1):
-        squares[z * z % m] = 1
+    is_square, squares = _squares_mod(m)
     # x = 1: z^2 - b*y^2 = a
-    for y in range(m):
-        if squares[(a + b * y * y) % m]:
+    for s in squares:
+        if is_square[(a + b * s) % m]:
             return 1
     # y = 1: z^2 - a*x^2 = b
-    for x in range(m):
-        if squares[(b + a * x * x) % m]:
+    for s in squares:
+        if is_square[(b + a * s) % m]:
             return 1
     # z = 1: 1 - a*x^2 = b*y^2
-    byy = bytearray(m)
-    for y in range(m):
-        byy[b * y * y % m] = 1
-    for x in range(m):
-        if byy[(1 - a * x * x) % m]:
+    bs = {b * s % m for s in squares}
+    for s in squares:
+        if (1 - a * s) % m in bs:
             return 1
     return -1

@@ -59,10 +59,12 @@ def theta_inverse(P):
         raise ValueError("theta only indexes integer polynomials")
     if P.is_zero():
         return 1
-    codes = [_zigzag_encode(c) for c in P.coeffs]
-    codes[-1] -= 1
-    bits = "1".join("0" * a for a in codes)
-    return int("1" + bits, 2) + 1
+    # the bitstring 1 0^{a_0} 1 0^{a_1} ... 1 0^{a_d - 1}, formed by shifts
+    *head, last = [_zigzag_encode(c) for c in P.coeffs]
+    n = 1
+    for a in head:
+        n = (n << a << 1) | 1
+    return (n << (last - 1)) + 1
 
 
 def chebyshev_Y(n):

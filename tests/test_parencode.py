@@ -29,13 +29,14 @@ int_polys = st.builds(
 
 
 def test_theta_examples():
-    assert theta(1) == Poly()
-    assert theta(theta_inverse(T + 1)) == T + 1
+    # the worked examples of docs/theta-scheme.md, n = 1..8
+    table = [Poly(), Poly([1]), Poly([-1]), T, Poly([2]), T + 1, -T, T * T]
+    assert [theta(n) for n in range(1, 9)] == table
+    assert [theta_inverse(P) for P in table] == list(range(1, 9))
     with pytest.raises(ValueError):
         theta(0)
     with pytest.raises(ValueError):
-        theta_inverse(Poly([1, 2]) * Poly.const(1) + Poly.const(0.5)
-                      if False else Poly([0.5]))
+        theta_inverse(Poly([0.5]))
 
 
 def test_theta_round_trip_range():

@@ -371,14 +371,27 @@ def _mod_scan_reference(a, b, m, p):
     ) else -1
 
 
+# (m, p, pairs) in the order scanned.  Each modulus has a pair divisible by
+# p and a pair that answers -1 (all three scans run to the end); 27 comes
+# back after 25, and 49 after 32, so a table of squares kept under the wrong
+# modulus, or one left over from the previous call, gives a wrong answer.
+MOD_SCAN_CASES = [
+    (32, 2, [(1, 1), (-1, -1), (2, 5), (6, -3), (3, 3)]),
+    (27, 3, [(a, b) for a in (1, 2, -1) for b in (1, 3, -3)]),
+    (25, 5, [(1, 2), (2, 5), (5, -1), (10, 3)]),
+    (27, 3, [(2, 3), (-1, 3), (6, 1), (3, -3)]),
+    (49, 7, [(1, 3), (3, 7), (-1, 7), (14, 5)]),
+]
+
+
 def test_kernel_backends_agree():
     """The kernels give the brute-force answers."""
     ns = (0, 7, 30, 9999)
-    pairs = [(a, b) for a in (1, 2, -1) for b in (1, 3, -3)]
     assert kernels.BACKEND == "python"
     assert [kernels.four_squares_raw(n) for n in ns] == [
         _four_squares_reference(n) for n in ns
     ]
-    assert [kernels.mod_scan_soluble(a, b, 27) for a, b in pairs] == [
-        _mod_scan_reference(a, b, 27, 3) for a, b in pairs
-    ]
+    for m, p, pairs in MOD_SCAN_CASES:
+        assert [kernels.mod_scan_soluble(a, b, m) for a, b in pairs] == [
+            _mod_scan_reference(a, b, m, p) for a, b in pairs
+        ], m
