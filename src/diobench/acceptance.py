@@ -26,7 +26,7 @@ from diobench.pellpairs import (
     pell_pair,
     recognize_solution,
 )
-from diobench.polynomial import Poly, T, real_root_count
+from diobench.polynomial import Poly, T
 from diobench.reports import Check, Report
 
 S_FAMILY = (T, 2 * T, T * T, 3 * T + 1)
@@ -35,16 +35,14 @@ S_FAMILY = (T, 2 * T, T * T, 3 * T + 1)
 def pell_laws(bound):
     for s in S_FAMILY:
         for n in range(bound + 1):
-            pair = pell_pair(s, n)  # identity checked inside
-            if not pair.verify():
-                return False, f"identity at {s}, {n}"
-            if n >= 1 and not check_degree_law(s, n)["pass"]:
+            pair = pell_pair(s, n)  # raises unless the identity holds
+            if n >= 1 and not check_degree_law(s, n):
                 return False, f"degree law {s}, {n}"
             if recognize_solution(pair.f, pair.g, s) != (n, 1):
                 return False, f"round trip {s}, {n}"
         for ell in range(1, bound + 1):
             for n in range(1, bound + 1):
-                if not check_divisibility_law(ell, n, s)["pass"]:
+                if not check_divisibility_law(ell, n, s):
                     return False, f"divisibility {ell}, {n}, {s}"
     return True, f"identity/degree/divisibility/round-trip, bound {bound}"
 
@@ -135,9 +133,8 @@ def forweak_random(count, seed):
         ]
         F = Poly(coeffs)
         d = rng.randrange(1, 9)
-        spec = cyc.forweak_approx(F, d)  # checks F == M mod T^d
-        if len(set(spec.indices)) != len(spec.indices):
-            return False, f"repeated index, case {i}"
+        # raises unless the indices are distinct and F == M mod T^d
+        spec = cyc.forweak_approx(F, d)
         for n in spec.indices:
             if cyc.special_form(n) is None:
                 return False, f"index {n} not special-form, case {i}"
@@ -233,12 +230,8 @@ def xi_constructors():
     fs = (T * T, T * T + 1, T * T + T + 1)
     for f in fs:
         for p in primes:
-            xi, h, cert = qf.padic_xi_construct(f, p)  # cert checked inside
-            if gcd(h.degree, cert.r - 1) != 1:
-                return False, f"gcd condition at f = {f}, p = {p}"
-        xi, h = qf.real_xi_construct(f)
-        if real_root_count(h) != 0:
-            return False, f"real construction at f = {f}"
+            qf.padic_xi_construct(f, p)  # raises unless certified with r = 2
+        qf.real_xi_construct(f)  # returns only an h with no real root
     # Eisenstein-certified => irreducible, cross-checked at degree <= 4
     for g, p in ((Poly([2, 4, 1]), 2), (Poly([3, 9, 0, 1]), 3),
                  (Poly([5, 0, 25, 0, 1]), 5)):

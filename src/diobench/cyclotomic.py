@@ -205,13 +205,6 @@ class CycloProductSpec:
     sign: int
     indices: list
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +-1")
-        if sorted(set(self.indices)) != sorted(self.indices):
-            raise ValueError("indices must be distinct")
-        self.indices = sorted(self.indices)
-
     def expand_mod(self, B):
         acc = Poly([self.sign])
         for n in self.indices:
@@ -253,7 +246,9 @@ def forweak_approx(F, d):
             used.add(top)
             M = _trunc_mul(M, cyclotomic_mod(n, d), d)
             indices.append(n)
-    spec = CycloProductSpec(sign, indices)
+    spec = CycloProductSpec(sign, sorted(indices))
+    if len(set(indices)) != len(indices):
+        raise SelfCheckError(f"repeated index in {spec.indices}")
     if spec.expand_mod(d) != F.truncate(d):
         raise SelfCheckError(f"the product of Phi_n, n in {spec.indices}, "
                              f"differs from {F} mod T^{d}")

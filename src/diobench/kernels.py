@@ -48,10 +48,11 @@ def _squares_mod(m):
 def mod_scan_soluble(a, b, m):
     """Exhaustive test for a primitive solution of z^2 = a*x^2 + b*y^2 mod m.
 
-    m is a power of a prime.  A primitive solution has at least one
-    coordinate that is a unit; scaling by that unit's inverse reduces the
-    search to the three one-dimensional scans below.  Each scan runs over
-    the distinct squares s = y^2 mod m, read from one table per modulus.
+    m is a power of a prime p.  A primitive solution has x or y a unit:
+    were p to divide both, it would divide z^2 and so z.  Scaling by that
+    unit's inverse reduces the search to the two one-dimensional scans
+    below, each over the distinct squares s = y^2 mod m, read from one
+    table per modulus.
     """
     a %= m
     b %= m
@@ -63,10 +64,5 @@ def mod_scan_soluble(a, b, m):
     # y = 1: z^2 - a*x^2 = b
     for s in squares:
         if is_square[(b + a * s) % m]:
-            return 1
-    # z = 1: 1 - a*x^2 = b*y^2
-    bs = {b * s % m for s in squares}
-    for s in squares:
-        if (1 - a * s) % m in bs:
             return 1
     return -1

@@ -2,8 +2,9 @@
 line) per row of `acceptance.CRITERIA`, at the full profile; the test id is
 the check name.  "measured" is a pass with data attached; only "fail"
 fails.  Mutation tests run rows at the quick profile with one fault
-injected and require "fail", three of them also under python -O; the table
-itself is checked against the suite's report and the functions'
+injected and require "fail", all of them also under python -O, as do the
+self-checks of 01, 05, 07 and 13 on faults inside their constructions;
+the table itself is checked against the suite's report and the functions'
 signatures.  c11's irreducibility test is checked against sympy."""
 
 import inspect
@@ -90,28 +91,98 @@ MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("name", MUTATIONS)
-def test_criterion_fails_on_fault(name, monkeypatch, request):
-    # Phi_n built under the fault must not outlive it
-    for cached in (cyclotomic.cyclotomic, cyclotomic._cyclotomic_mod_p):
+# The faults of test_01 and test_12, which the python -O run below adds to
+# MUTATIONS: a Pell pair with f off by one, and a Pos that accepts all.
+WRONG_PELL_PAIR = (acceptance, "pell_pair",
+                   lambda right: lambda s, n: replace(right(s, n),
+                                                      f=right(s, n).f + 1))
+POS_ACCEPTS_ALL = (parencode, "pos_check", lambda right: lambda F: True)
+
+
+# The caches that would keep values computed under a fault: Phi_n, Phi_n
+# mod p and the five-squares results.
+FAULT_CACHES = (cyclotomic.cyclotomic, cyclotomic._cyclotomic_mod_p,
+                parencode._five_squares_cached)
+
+
+def _fails(name, fault, monkeypatch, request):
+    for cached in FAULT_CACHES:
         request.addfinalizer(cached.cache_clear)
-    module, attr, wrong = MUTATIONS[name]
+    module, attr, wrong = fault
     monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
     assert acceptance.run_criterion(name, "quick").status == "fail"
 
 
-def test_01_fails_on_wrong_pell_pair(monkeypatch):
-    right = acceptance.pell_pair
-    monkeypatch.setattr(acceptance, "pell_pair",
-                        lambda s, n: replace(right(s, n), f=right(s, n).f + 1))
-    assert acceptance.run_criterion("01-pell-laws", "quick").status == "fail"
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_criterion_fails_on_fault(name, monkeypatch, request):
+    _fails(name, MUTATIONS[name], monkeypatch, request)
+
+
+def test_01_fails_on_wrong_pell_pair(monkeypatch, request):
+    """pell_laws reads the pair's identity through the round trip."""
+    _fails("01-pell-laws", WRONG_PELL_PAIR, monkeypatch, request)
 
 
 def test_12_fails_when_pos_accepts_everything(monkeypatch, request):
-    # five-squares results computed under the fault must not outlive it
-    request.addfinalizer(parencode._five_squares_cached.cache_clear)
-    monkeypatch.setattr(parencode, "pos_check", lambda F: True)
-    assert acceptance.run_criterion("12-theta-par", "quick").status == "fail"
+    _fails("12-theta-par", POS_ACCEPTS_ALL, monkeypatch, request)
+
+
+def _python(script, *flags):
+    """Run `script` in a fresh python with `flags`, diobench and these
+    tests on its path."""
+    path = os.pathsep.join([str(Path(acceptance.__file__).parents[1]),
+                            str(Path(__file__).parent)])
+    run = subprocess.run([sys.executable, *flags, "-c", script],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert "Traceback" not in run.stderr, run.stderr
+    return run
+
+
+# Runs in the child: inject each fault of the table in turn, print the
+# criterion's quick status, then undo the fault and empty the caches.
+_EVERY_FAULT = """
+import test_acceptance as t
+from diobench import acceptance
+
+faults = {**t.MUTATIONS, "01-pell-laws": t.WRONG_PELL_PAIR,
+          "12-theta-par": t.POS_ACCEPTS_ALL}
+for name, (module, attr, wrong) in faults.items():
+    right = getattr(module, attr)
+    setattr(module, attr, wrong(right))
+    try:
+        print(name, acceptance.run_criterion(name, "quick").status)
+    finally:
+        setattr(module, attr, right)
+        for cached in t.FAULT_CACHES:
+            cached.cache_clear()
+"""
+
+
+def test_every_fault_fails_under_O():
+    """python -O drops asserts; every injected fault still fails its
+    criterion there."""
+    run = _python(_EVERY_FAULT, "-O")
+    names = [*MUTATIONS, "01-pell-laws", "12-theta-par"]
+    assert run.stdout.splitlines() == [f"{n} fail" for n in names], run.stderr
+
+
+def _status_and_cli(fault, name, argv):
+    """For each of python -O and plain python: the quick status of
+    criterion `name` after the lines `fault` ran, and the exit code and
+    JSON report of `diobench --format json` on argv."""
+    script = (f"import sys\nfrom diobench import acceptance, cli\n{fault}"
+              f"print(acceptance.run_criterion({name!r}, 'quick').status)\n"
+              f"sys.exit(cli.main(['--format', 'json', *{argv!r}]))\n")
+    for flags in (["-O"], []):
+        run = _python(script, *flags)
+        status, _, report = run.stdout.partition("\n")
+        yield status, run.returncode, json.loads(report)
+
+
+def _self_check_failed(report):
+    return [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("self-check", "fail")]
 
 
 def _status_under_O(fault, name):
@@ -119,21 +190,35 @@ def _status_under_O(fault, name):
     drops asserts) after running the lines `fault`."""
     script = (f"from diobench import acceptance\n{fault}"
               f"print(acceptance.run_criterion({name!r}, 'quick').status)\n")
-    src = Path(acceptance.__file__).parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run([sys.executable, "-O", "-c", script],
-                         capture_output=True, text=True, env=env)
+    run = _python(script, "-O")
     assert run.stdout.split() == ["fail"], run.stderr
-    assert "Traceback" not in run.stderr, run.stderr
 
 
 def test_07_fails_under_O():
-    """The forweak self-check survives python -O."""
-    _status_under_O(
-        "from diobench import cyclotomic as cyc\n"
-        "right = cyc.find_special_congruent\n"
-        "cyc.find_special_congruent = lambda d, s, count, avoid_primes=(): "
-        "right(d, -s, count, avoid_primes=avoid_primes)\n", "07-forweak")
+    """A repeated forweak index fails c07 and `cyclo forweak` through the
+    construction's self-check, with and without python -O; 1 + 2T needs
+    two factors at T^1, so the fault repeats Phi_2."""
+    fault = ("from diobench import cyclotomic as cyc\n"
+             "right = cyc.find_special_congruent\n"
+             "cyc.find_special_congruent = lambda d, s, count, "
+             "avoid_primes=(): right(d, s, 1, avoid_primes)[:1] * count\n")
+    argv = ["cyclo", "forweak", "--poly", "1+2*t", "--d", "2"]
+    for status, code, report in _status_and_cli(fault, "07-forweak", argv):
+        assert (status, code) == ("fail", 1)
+        assert _self_check_failed(report), report
+
+
+def test_01_fails_on_a_pair_off_the_identity():
+    """A Pell pair built with f off by one fails its identity check where
+    it is built, so c01 fails and `pell` exits 1, with and without
+    python -O."""
+    fault = ("from diobench import pellpairs\n"
+             "right = pellpairs.PellPair\n"
+             "pellpairs.PellPair = lambda n, f, g, s: right(n, f + 1, g, s)\n")
+    argv = ["pell", "--s", "t", "--n", "3"]
+    for status, code, report in _status_and_cli(fault, "01-pell-laws", argv):
+        assert (status, code) == ("fail", 1)
+        assert _self_check_failed(report), report
 
 
 def test_05_fails_under_O():

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diobench import acceptance, cli
+from diobench import acceptance, cli, pellpairs
 from diobench.pellpairs import (
     check_degree_law,
     check_divisibility_law,
@@ -64,26 +65,38 @@ def test_pell_group_law(s, m, n):
     assert c.g == a.f * b.g + a.g * b.f
 
 
+def test_cold_pell_query_checks_the_identity_once(monkeypatch, capsys):
+    """`pell` at its ceiling evaluates the degree-800 Pell identity once,
+    where the pair is built, and reports it as the `identity` check."""
+    right = pellpairs.is_pell_solution
+    calls = []
+    monkeypatch.setattr(pellpairs, "is_pell_solution",
+                        lambda *args: calls.append(args) or right(*args))
+    pellpairs._pell_cached.cache_clear()
+    assert cli.main(["--format", "json", "pell", "--s", "3*t+1",
+                     "--n", "400"]) == 0
+    assert len(calls) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [("identity", "pass")]
+
+
 @given(s=s_strategy, n=st.integers(1, 25))
 def test_degree_law(s, n):
-    assert check_degree_law(s, n)["pass"]
+    assert check_degree_law(s, n)
 
 
 @given(s=s_strategy, ell=st.integers(1, 20), n=st.integers(1, 20))
 @settings(max_examples=150)
 def test_divisibility_biconditional(s, ell, n):
-    assert check_divisibility_law(ell, n, s)["pass"]
+    assert check_divisibility_law(ell, n, s)
 
 
 @pytest.mark.parametrize("law", ["check_degree_law",
                                  "check_divisibility_law"])
 def test_failing_law_fails_criterion_and_cli(law, monkeypatch, capsys):
-    """A law reporting pass False must fail criterion 01 and exit 1."""
+    """A law that does not hold must fail criterion 01 and exit 1."""
     for mod in (acceptance, cli):
-        right = getattr(mod, law)
-        monkeypatch.setattr(
-            mod, law, lambda *args, right=right: {**right(*args), "pass": False}
-        )
+        monkeypatch.setattr(mod, law, lambda *args: False)
     assert acceptance.run_criterion("01-pell-laws", "quick").status == "fail"
     assert cli.main(["pell", "--s", "t", "--n", "2", "--check-laws",
                      "--bound", "3"]) == 1
@@ -97,10 +110,10 @@ def test_recognize_round_trip(s, n):
 
 
 def test_recognize_rejects_non_solutions():
+    assert recognize_solution(T, T, T) is None
+    assert recognize_solution(2 * T * T - 1, 2 * T + 1, T) is None
     with pytest.raises(ValueError):
-        recognize_solution(T, T, T)
-    with pytest.raises(ValueError):
-        recognize_solution(2 * T * T - 1, 2 * T + 1, T)
+        recognize_solution(T, T, Poly([3]))  # constant s: no Pell theory
 
 
 def test_epsilon_unit():

@@ -29,7 +29,8 @@ UNREACHED_ALLOWED = {
         "runs at import, before the profiler is on",
 }
 
-# Defs deleted because a better algorithm replaced them; they stay gone.
+# Defs deleted because a better algorithm replaced them, or because a check
+# where the value is built makes them redundant; they stay gone.
 DELETED = {
     ("cyclotomic.py", "_trunc_inv_one_minus"):
         "a dense series product; cyclotomic_mod divides by 1 - T^d in one "
@@ -41,6 +42,10 @@ DELETED = {
         "(Gauss's lemma)",
     ("polynomial.py", "rational_roots"): "as factor_small",
     ("polynomial.py", "_fraction_sqrt"): "as factor_small",
+    ("pellpairs.py", "PellPair.verify"):
+        "_pell_cached checks the Pell identity once, where it builds the pair",
+    ("cyclotomic.py", "CycloProductSpec.__post_init__"):
+        "forweak_approx checks its indices distinct where it builds them",
 }
 
 # Runs in the child: read argv lists from stdin, run each through cli.main

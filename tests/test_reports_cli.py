@@ -1,15 +1,18 @@
+import argparse
 import io
 import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from math import isqrt
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diobench import cli, cyclotomic, kernels
 from diobench.reports import Check, Report
@@ -200,6 +203,97 @@ def test_pell_laws_reject_empty_env_bound(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# The argv fuzz: per-option grammars of the option texts, small enough that
+# every argv answers in well under a second.  One text in ten is junk, whose
+# only digit is 0, so that it cannot spell a large exponent or index.
+_JUNK = st.text("t/:+-*^,.x0 ", max_size=4)
+_INT = st.integers(-3, 8).map(str)
+_FRACTION = st.fractions(-4, 4, max_denominator=3).map(str)
+_POLY = st.lists(st.integers(-2, 2), min_size=1, max_size=4).map(
+    lambda cs: "+".join(f"{c}*t^{k}" for k, c in enumerate(cs)))
+_PM_LIST = st.lists(
+    st.tuples(st.sampled_from((2, 3, 5, 7, 11, 13)), st.integers(0, 6)),
+    min_size=1, max_size=2).map(lambda pms: ",".join(f"{p}:{m}"
+                                                     for p, m in pms))
+_TEXT = {  # option dest -> its grammar, for options that take text
+    "s": _POLY, "poly": _POLY, "f": _POLY, "g": _POLY,
+    "x": _POLY | _FRACTION, "c": _POLY | _FRACTION, "a": _POLY | _FRACTION,
+    "b": _FRACTION, "indices": _PM_LIST,
+}
+# Commands and ops that read no option: the goldens pin their output, and
+# one run costs from 0.3 s (cyclo appendix) to a second (verify-all).
+_NO_INPUT = {"verify-all", "appendix"}
+
+
+def _subparsers():
+    """Subcommand name -> its parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: p for name, p in sub.choices.items()
+            if name not in _NO_INPUT}
+
+
+def _grammar(action):
+    """The grammar of an option's text; a KeyError names a text option
+    that has none yet."""
+    if action.choices is not None:
+        return st.sampled_from([c for c in action.choices
+                                if c not in _NO_INPUT])
+    if action.type is int:
+        return _INT
+    return _TEXT[action.dest]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, then each of its options present or not, drawn from
+    the option's grammar, or one time in ten junk; flags come as --name,
+    values as --name=text."""
+    name = draw(st.sampled_from(sorted(_subparsers())))
+    argv = ["--format", "json", name]
+    for action in _subparsers()[name]._actions:
+        if isinstance(action, argparse._HelpAction) or (
+                action.option_strings and not draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[0])
+            continue
+        text = draw(_JUNK if draw(st.integers(0, 9)) == 0
+                    else _grammar(action))
+        argv.append(f"{action.option_strings[0]}={text}"
+                    if action.option_strings else text)
+    return argv
+
+
+def test_argv_fuzz_keeps_the_exit_contract(monkeypatch):
+    """Every argv exits 0, 1 or 2 without a traceback: 2 with an error
+    message, 1 exactly when a check fails, and a report that exits 0 or 1
+    is schema-valid."""
+    monkeypatch.setenv("WORKBENCH_BOUND", "3")
+    schema = _schema()
+
+    @given(argv=_argvs())
+    @settings(max_examples=2000, deadline=None)
+    def exit_contract(argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as e:  # argparse rejects the argv
+            code = e.code
+        assert code in (0, 1, 2), code
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert "error: " in err.getvalue()
+        else:
+            doc = json.loads(out.getvalue())
+            jsonschema.validate(doc, schema)
+            failed = any(c["status"] == "fail" for c in doc["checks"])
+            assert failed == (code == 1), doc
+
+    exit_contract()
+
+
 def test_cli_text_format(capsys):
     code, out = _run_cli(["defsys", "nonneg", "--d", "4"], capsys)
     assert code == 0
@@ -372,7 +466,7 @@ def _mod_scan_reference(a, b, m, p):
 
 
 # (m, p, pairs) in the order scanned.  Each modulus has a pair divisible by
-# p and a pair that answers -1 (all three scans run to the end); 27 comes
+# p and a pair that answers -1 (both scans run to the end); 27 comes
 # back after 25, and 49 after 32, so a table of squares kept under the wrong
 # modulus, or one left over from the previous call, gives a wrong answer.
 MOD_SCAN_CASES = [
