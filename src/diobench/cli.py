@@ -31,8 +31,8 @@ from diobench.reports import Report
 PELL_DEGREE_MAX = 400
 
 # Ceiling on bound * deg s for `pell --check-laws`, which builds the pairs up
-# to the bound and makes bound^2 exact divisions (as a process on 2 cores,
-# s = t takes 0.3 s at bound 60 and took 3.5 s at bound 160).
+# to the bound and makes bound^2 exact divisions (as a process on 2 cores:
+# 0.3 s at bound 60 for s = t, 0.75 s for t/3 + 1/2; s = t took 3.5 s at 160).
 PELL_LAWS_MAX = 60
 
 
@@ -361,7 +361,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if [] in vars(args).values():  # argparse reads --opt=-- as []
+        ap.error("an option needs a value other than '--'")
     t0 = time.time()
     try:
         report = args.fn(args)

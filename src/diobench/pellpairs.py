@@ -7,6 +7,7 @@ with n ranging over the integers (negative n via conjugation).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from diobench import SelfCheckError
@@ -19,8 +20,11 @@ def discriminant(s):
 
 
 def is_pell_solution(f, g, s):
-    """f^2 - (s^2 - 1) g^2 == 1, the Pell identity."""
-    return f * f - discriminant(s) * g * g == ONE
+    """f^2 - (s^2 - 1) g^2 == 1, the Pell identity, in Z[T]: with f = F/a,
+    g = G/b and s = S/c cleared, (bcF)^2 - (S^2 - c^2)(aG)^2 == (abc)^2."""
+    (a, F), (b, G), (c, S) = (p.cleared() for p in (f, g, s))
+    F, G, S = Poly(F) * (b * c), Poly(G) * a, Poly(S)
+    return F * F - (S * S - c * c) * G * G == (a * b * c) ** 2
 
 
 def epsilon(s):
@@ -51,15 +55,20 @@ def pell_pair(s, n):
 
 @lru_cache(maxsize=1 << 12)
 def _pell_cached(coeffs, n):
-    """(f_n, g_n) by the recurrence x_{k+1} = 2s x_k - x_{k-1}, which both
-    components of eps^k obey (eps + conj(eps) = 2s, eps conj(eps) = 1), from
-    (f_0, g_0) = (1, 0) and (f_1, g_1) = (s, 1); g_{-n} = -g_n."""
+    """(f_n, g_n) from F_k = d^k f_k and G_k = d^(k-1) g_k in Z[T], s = s0/d:
+    they obey x_{k+1} = 2s0 x_k - d^2 x_{k-1} from (1, 0) and (s0, 1), as eps^k
+    obeys x_{k+1} = 2s x_k - x_{k-1}; g_{-n} = -g_n."""
     s = Poly(coeffs)
-    two_s = 2 * s
-    f, g, f_next, g_next = ONE, ZERO, s, ONE
+    d, s0 = s.cleared()
+    f, g, f_next, g_next = ONE, ZERO, Poly(s0), ONE
+    two_s0, d2 = 2 * f_next, d * d
     for _ in range(abs(n)):
-        f, f_next = f_next, two_s * f_next - f
-        g, g_next = g_next, two_s * g_next - g
+        f, f_next = f_next, two_s0 * f_next - (f if d == 1 else d2 * f)
+        g, g_next = g_next, two_s0 * g_next - (g if d == 1 else d2 * g)
+    if d > 1:
+        dk = d ** abs(n)
+        f = Poly([Fraction(c, dk) for c in f.coeffs])
+        g = Poly([Fraction(c * d, dk) for c in g.coeffs])
     pair = PellPair(n, f, g if n >= 0 else -g, s)
     if not is_pell_solution(pair.f, pair.g, s):
         raise SelfCheckError(f"f^2 - (s^2 - 1) g^2 != 1 at s = {s}, n = {n}")
@@ -81,7 +90,6 @@ def check_divisibility_law(ell, n, s):
     """ell | n  <=>  g_ell | g_n, confirmed by exact division."""
     if ell < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    s = Poly.coerce(s)
     return (n % ell == 0) == pell_pair(s, ell).g.divides(pell_pair(s, n).g)
 
 

@@ -169,9 +169,24 @@ class Poly:
         return q
 
     def divides(self, other):
+        """Whether self | other in Q[T]: by Gauss's lemma, whether the
+        primitive part of self divides other, cleared, in Z[T]."""
         if self.is_zero():
             return Poly.coerce(other).is_zero()
-        return (Poly.coerce(other) % self).is_zero()
+        b = self.cleared()[1]
+        g = gcd(*b)
+        lc = b.pop() // g
+        terms = [(i, x // g) for i, x in enumerate(b) if x]
+        r = Poly.coerce(other).cleared()[1]
+        while len(r) > len(b):
+            c, m = divmod(r.pop(), lc)
+            if m:
+                return False
+            if c:
+                shift = len(r) - len(b)
+                for i, x in terms:
+                    r[shift + i] -= c * x
+        return not any(r)
 
     # -- calculus & evaluation ------------------------------------------------
 
@@ -195,27 +210,23 @@ class Poly:
         """Reduce mod T^k."""
         return Poly(self.coeffs[:k])
 
+    def cleared(self):
+        """(den, ints): the least positive den with den * self in Z[T], and
+        the coefficient list of den * self."""
+        den = lcm(*(c.denominator for c in self.coeffs if type(c) is not int))
+        if den == 1:
+            return 1, list(self.coeffs)
+        return den, [c * den if type(c) is int
+                     else c.numerator * (den // c.denominator)
+                     for c in self.coeffs]
+
     def primitive_part(self):
         """Integer-coefficient associate with content 1 and positive lead."""
         if self.is_zero():
             return self
-        den = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        if ints[-1] < 0:
-            g = -g
+        ints = self.cleared()[1]
+        g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
         return Poly([c // g for c in ints])
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        lc = Fraction(self.lead())
-        return Poly([Fraction(c) / lc for c in self.coeffs])
 
     # -- text form ------------------------------------------------------------
 
@@ -302,29 +313,28 @@ def parse_poly(text):
 
 
 def poly_gcd(a, b):
-    """Monic gcd over Q."""
-    a, b = Poly.coerce(a), Poly.coerce(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """The gcd over Q as its primitive associate with positive lead (Gauss's
+    lemma): the last member of the primitive remainder sequence."""
+    a, b = (Poly.coerce(x).primitive_part().coeffs for x in (a, b))
+    while b:
+        a, b = b, _neg_prem_primitive(a, b)
+    return Poly(a).primitive_part()
 
 
 def resultant(a, b):
     """Res(a, b) over Q via the Euclidean recursion."""
     a, b = Poly.coerce(a), Poly.coerce(b)
     if a.is_zero() or b.is_zero():
-        return Fraction(0)
-    res = Fraction(1)
+        return 0
+    res = 1
     while True:
         if b.degree == 0:
-            return _norm_coeff(res * Fraction(b.lead()) ** a.degree)
+            return _norm_coeff(res * b.lead() ** a.degree)
         r = a % b
         if r.is_zero():
             return 0 if a.degree > 0 else _norm_coeff(res)
-        res *= (
-            Fraction(-1) ** (a.degree * b.degree)
-            * Fraction(b.lead()) ** (a.degree - r.degree)
-        )
+        res *= ((-1) ** (a.degree * b.degree)
+                * b.lead() ** (a.degree - r.degree))
         a, b = b, r
 
 
@@ -386,23 +396,18 @@ def sturm_chain(p):
     next member is the negated pseudo-remainder of the two before it,
     divided by its positive content.
     """
-    p = Poly.coerce(p)
-    den = lcm(*(c.denominator for c in p.coeffs if type(c) is not int))
-    a = [c * den if type(c) is int else c.numerator * (den // c.denominator)
-         for c in p.coeffs]
+    a = Poly.coerce(p).cleared()[1]
     chain = [Poly(a)]
     b = chain[0].derivative().coeffs
     while b:
         chain.append(Poly(b))
-        if len(b) == 1:
-            break
         a, b = b, _neg_prem_primitive(a, b)
     return chain
 
 
 def _neg_prem_primitive(a, b):
     """-(a mod b) times a positive rational, with integer coprime entries,
-    for integer coefficient lists a, b with len(a) >= len(b) >= 2.
+    for integer coefficient lists a and b, b nonzero.
 
     Each step scales the remainder by |lc b| / g, g = gcd(top, lc b), a
     positive integer, so the pseudo-remainder |lc b|^k * a mod b differs
@@ -421,9 +426,7 @@ def _neg_prem_primitive(a, b):
             r[shift + i] -= c * x
         while r and r[-1] == 0:
             r.pop()
-    g = 0
-    for x in r:
-        g = gcd(g, x)
+    g = gcd(*r)
     return [-x // g for x in r]
 
 
@@ -459,17 +462,14 @@ def chain_root_count(chain):
 
 
 def squarefree_decomposition(p):
-    """Yun's algorithm: list of (factor, multiplicity), factors monic."""
+    """Yun's algorithm on primitive parts, so every exact division stays in
+    Z: list of (factor, multiplicity), factors primitive."""
     p = Poly.coerce(p)
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return []
-    p = p.monic()
+    p = p.primitive_part()
     g = poly_gcd(p, p.derivative())
     out = []
-    if g.degree == 0:
-        return [(p, 1)]
     w = p.exact_div(g)
     y = p.derivative().exact_div(g)
     i = 1

@@ -60,13 +60,6 @@ class DeskInstantiation:
 DESK = DeskInstantiation()
 
 
-def _as_element(x):
-    """Coerce input to Poly (ring element)."""
-    if isinstance(x, Poly):
-        return x
-    return Poly.const(Fraction(x))
-
-
 def constants_system(x):
     """Membership of x in the constant field, witnessed by unit inverses.
 
@@ -74,7 +67,7 @@ def constants_system(x):
     (both are then at least 1); the witness is the pair of inverses, which
     is uniquely determined (fold count 1).
     """
-    x = _as_element(x)
+    x = Poly.coerce(x)
     inverses = []
     for v in (x * x + 1, x * x + 2):
         if not v.is_constant():
@@ -86,10 +79,6 @@ def constants_system(x):
     return WitnessReport(
         "constants", (x,), "accepted", witnesses=[tuple(inverses)],
     )
-
-
-def _quad_const(c, D):
-    return QuadExt(Poly.const(c), 0, D)
 
 
 def singlefold_int(c, bound=50, desk=DESK):
@@ -104,10 +93,10 @@ def singlefold_int(c, bound=50, desk=DESK):
     holds exactly when res(q_n) = +-c * res(1).  The residues of 1 and of
     each q_n are computed once per (a, bound) and tested against every c.
     """
-    c = _as_element(c)
+    c = Poly.coerce(c)
     witnesses = []
     if c.is_constant():
-        cv = Fraction(c.constant())
+        cv = c.constant()
         (one_u, one_w), ladder = _q_ladder(desk.a.coeffs, bound)
         targets = [(sign, (one_u * (sign * cv), one_w * (sign * cv)))
                    for sign in (1, -1)]
@@ -191,8 +180,8 @@ def exp_system(b, c, d, bound=None, desk=DESK):
         k = s1 * c
         if (res_u + one_u * k, res_w + one_w * k) != (ZERO, ZERO):
             continue
-        num1 = eps_n + _quad_const(k, eps.D)
-        x_quot = num1.exact_div(eps - _quad_const(b, eps.D))
+        num1 = eps_n + QuadExt(k, 0, eps.D)
+        x_quot = num1.exact_div(eps - QuadExt(b, 0, eps.D))
         for s2, y_quot in d_quots:
             witnesses.append(
                 (n, s1, s2, eps_n.u, eps_n.w, x_quot.u, x_quot.w,
@@ -218,7 +207,7 @@ def _exp_b_residues(a_coeffs, b, n):
     so the residues exist.
     """
     eps = epsilon(Poly(a_coeffs))
-    den = eps - _quad_const(b, eps.D)
+    den = eps - QuadExt(b, 0, eps.D)
     return (den.residue(QuadExt(1, 0, eps.D)),
             den.residue(_eps_power(eps, n)))
 
@@ -314,8 +303,8 @@ def odd_integer_system(r=None, tuple_=None, bound=None):
         if ok:
             a = tup[0]
             if not (a.is_constant()
-                    and Fraction(a.constant()).denominator == 1
-                    and int(a.constant()) % 2 == 1):
+                    and type(a.constant()) is int
+                    and a.constant() % 2 == 1):
                 raise SelfCheckError(f"accepted tuple has a = {a}, "
                                      f"not an odd integer")
             return WitnessReport(

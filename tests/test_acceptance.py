@@ -211,14 +211,17 @@ def test_07_fails_under_O():
 def test_01_fails_on_a_pair_off_the_identity():
     """A Pell pair built with f off by one fails its identity check where
     it is built, so c01 fails and `pell` exits 1, with and without
-    python -O."""
+    python -O, at an integer s and at s = t/3 + 1/2, whose pairs are built
+    over Z[T] and then divided by powers of 6."""
     fault = ("from diobench import pellpairs\n"
              "right = pellpairs.PellPair\n"
              "pellpairs.PellPair = lambda n, f, g, s: right(n, f + 1, g, s)\n")
-    argv = ["pell", "--s", "t", "--n", "3"]
-    for status, code, report in _status_and_cli(fault, "01-pell-laws", argv):
-        assert (status, code) == ("fail", 1)
-        assert _self_check_failed(report), report
+    for s in ("t", "1/3*t+1/2"):
+        argv = ["pell", "--s", s, "--n", "3"]
+        for status, code, report in _status_and_cli(fault, "01-pell-laws",
+                                                    argv):
+            assert (status, code) == ("fail", 1)
+            assert _self_check_failed(report), report
 
 
 def test_05_fails_under_O():

@@ -50,7 +50,7 @@ def test_pell_pair_is_the_eps_power(s, n):
     assert (pair.n, pair.f, pair.g) == (n, power.u, -power.w)
 
 
-@given(s=s_strategy, n=st.integers(-30, 30))
+@given(s=st.one_of(s_strategy, rational_s), n=st.integers(-30, 30))
 def test_pell_identity(s, n):
     p = pell_pair(s, n)
     D = discriminant(s)
@@ -85,7 +85,8 @@ def test_degree_law(s, n):
     assert check_degree_law(s, n)
 
 
-@given(s=s_strategy, ell=st.integers(1, 20), n=st.integers(1, 20))
+@given(s=st.one_of(s_strategy, rational_s), ell=st.integers(1, 20),
+       n=st.integers(1, 20))
 @settings(max_examples=150)
 def test_divisibility_biconditional(s, ell, n):
     assert check_divisibility_law(ell, n, s)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,6 +113,29 @@ def test_gcd_and_resultant():
                         poly_mod_p(T - 1, 5), 5) == 2
 
 
+def euclid_gcd_degree(a, b):
+    """deg gcd(a, b) by Euclid's algorithm over Q: the reference for the
+    library's primitive remainder sequence."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.degree
+
+
+@given(a=rat_polys, b=rat_polys, c=rat_polys)
+@example(a=2 * T + 1, b=Poly([Fraction(1, 3)]), c=(T - 1) * Fraction(3, 2))
+@settings(max_examples=150, deadline=None)
+def test_poly_gcd_is_primitive_and_divides(a, b, c):
+    # a*c and b*c share c, so the gcd is often nonconstant
+    for x, y in ((a, b), (a * c, b * c)):
+        g = poly_gcd(x, y)
+        assert g.degree == euclid_gcd_degree(x, y)
+        if g.is_zero():
+            continue
+        assert (x % g).is_zero() and (y % g).is_zero()
+        assert all(type(k) is int for k in g.coeffs)
+        assert g.lead() > 0 and gcd(*g.coeffs) == 1
+
+
 @given(a=nonzero_polys, b=nonzero_polys)
 @settings(max_examples=100)
 def test_resultant_zero_iff_common_factor(a, b):
@@ -207,9 +231,9 @@ def test_cauchy_bound_contains_roots():
 def test_squarefree_decomposition():
     p = (T - 1) ** 2 * (T + 2) ** 3 * (T * T + 1)
     parts = dict(squarefree_decomposition(p))
-    assert parts[(T - 1).monic()] == 2
-    assert parts[(T + 2).monic()] == 3
-    assert parts[(T * T + 1).monic()] == 1
+    assert parts[T - 1] == 2
+    assert parts[T + 2] == 3
+    assert parts[T * T + 1] == 1
 
 
 def quad_power(x, n):
