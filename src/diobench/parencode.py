@@ -29,14 +29,6 @@ SAMPLE_POINTS = (0, 1, -1, 2, -2, 3, -3)
 # -- theta: positive integers <-> integer polynomials -------------------------
 
 
-def _zigzag_decode(u):
-    return (u + 1) // 2 if u % 2 else -(u // 2)
-
-
-def _zigzag_encode(c):
-    return 2 * c - 1 if c > 0 else -2 * c
-
-
 def theta(n):
     """The polynomial with index n >= 1; theta(1) is the zero polynomial."""
     if n < 1:
@@ -45,11 +37,11 @@ def theta(n):
         return Poly()
     # bits of (n - 2) + 1 below the leading 1 form an arbitrary bitstring;
     # its zero-run lengths a_0, ..., a_d (separated by 1s) give the
-    # coefficient codes, with the last one shifted to keep the lead nonzero
-    bits = bin(n - 1)[3:]
-    runs = [len(chunk) for chunk in bits.split("1")]
-    codes = runs[:-1] + [runs[-1] + 1]
-    return Poly([_zigzag_decode(u) for u in codes])
+    # codes u, the last one shifted to keep the lead nonzero, each decoded
+    # by zigzag: (u + 1) / 2 for odd u, -u / 2 for even u
+    codes = list(map(len, bin(n - 1)[3:].split("1")))
+    codes[-1] += 1
+    return Poly([(u + 1) >> 1 if u & 1 else -(u >> 1) for u in codes])
 
 
 def theta_inverse(P):
@@ -59,12 +51,13 @@ def theta_inverse(P):
         raise ValueError("theta only indexes integer polynomials")
     if P.is_zero():
         return 1
-    # the bitstring 1 0^{a_0} 1 0^{a_1} ... 1 0^{a_d - 1}, formed by shifts
-    *head, last = [_zigzag_encode(c) for c in P.coeffs]
+    # the bitstring 1 0^{a_0} 1 0^{a_1} ... 1 0^{a_d - 1} by shifts: code a
+    # (2c - 1 for c > 0, else -2c) adds a zeros and a 1, the last a - 1 zeros
+    *head, last = P.coeffs
     n = 1
-    for a in head:
-        n = (n << a << 1) | 1
-    return (n << (last - 1)) + 1
+    for c in head:
+        n = (n << (2 * c if c > 0 else 1 - 2 * c)) | 1
+    return (n << (2 * last - 2 if last > 0 else -2 * last - 1)) + 1
 
 
 def chebyshev_Y(n):
@@ -266,8 +259,9 @@ class ParTuple:
                 "g": self.g, "v": self.v}
 
 
+@lru_cache(maxsize=1 << 10)
 def _par_core(n):
-    """P_n, d, the Pos target Y_{d+2}^2 + c - P_n^2 - 1 as a function of c."""
+    """P_n, d, Y_{d+2} and the Pos target Y_{d+2}^2 + c - P_n^2 - 1 less c."""
     P = theta(n)
     d = P.degree if P.degree is not None else 0  # zero polynomial: degree 0
     Y = chebyshev_Y(d + 2).g

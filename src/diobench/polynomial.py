@@ -120,14 +120,14 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly([1])
-        base = self
-        while n:
+        result, base = None, self  # no product by 1, no square past the top
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return Poly([1]) if result is None else result
+            base = base * base
 
     def __divmod__(self, other):
         other = Poly.coerce(other)

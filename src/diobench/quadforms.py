@@ -9,6 +9,7 @@ oracle built on the search kernels.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 
 from diobench import SelfCheckError
@@ -35,7 +36,8 @@ def _legendre(u, p):
 
 def _int_rep(q):
     """Integer with the same square class as the rational q."""
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     return q.numerator * q.denominator
 
 
@@ -51,6 +53,10 @@ def squarefree_kernel(n):
     return sign * out
 
 
+# each place a Hilbert symbol is taken at is tested once
+_place_is_prime = lru_cache(maxsize=1 << 10, typed=True)(is_prime)
+
+
 def hilbert_symbol(a, b, v):
     """(a, b)_v for nonzero rationals; v is a prime or \"real\"."""
     a, b = _int_rep(a), _int_rep(b)
@@ -59,7 +65,7 @@ def hilbert_symbol(a, b, v):
     if v == REAL:
         return -1 if a < 0 and b < 0 else 1
     p = v
-    if not is_prime(p):
+    if not _place_is_prime(p):
         raise ValueError(f"bad place {v!r}")
     alpha, u = _split(abs(a), p)
     beta, w = _split(abs(b), p)

@@ -53,8 +53,11 @@ class DeskInstantiation:
         if self.a.degree is None or self.a.degree < 1:
             raise ValueError("a must be nonconstant (pole at the place)")
 
-    def eps(self):
-        return epsilon(self.a)
+
+@lru_cache(maxsize=1 << 6)
+def _eps(a_coeffs):
+    """eps at a, built once per a."""
+    return epsilon(Poly(a_coeffs))
 
 
 DESK = DeskInstantiation()
@@ -132,7 +135,7 @@ def _q_ladder(a_coeffs, bound):
     res(eps^k) * eps reduced and res(q_n) is the sum of the res(eps^k):
     every step costs the same whatever n is.
     """
-    eps = epsilon(Poly(a_coeffs))
+    eps = _eps(a_coeffs)
     den = eps - QuadExt(1, 0, eps.D)
     # a constant multiple of the norm leaves every remainder as it is
     nm = den.norm().primitive_part()
@@ -161,27 +164,22 @@ def exp_system(b, c, d, bound=None, desk=DESK):
     second relation to hold, so the search is direct.  Witnesses are
     deduplicated by the underlying ring values (u, w, x, y), which folds the
     spurious sign ambiguity at c = 0 or d = 0.  The second relation depends
-    on d alone and is built once per (a, d).  The first is read off
-    residues: with res the Q-linear map (eps - b).residue, it holds exactly
-    when res(eps^n) + s1*c*res(1) = 0, and the two residues are built once
-    per (a, b, n); the quotient is built only for a sign that passes.
+    on d alone and is built once per (a, d).  The first holds for at most
+    one value of s1*c, read off residues once per (a, b, n) with its
+    quotient.
     """
     b, c, d = int(b), int(c), int(d)
     if b == 0:
         raise ValueError("base b must be nonzero")
-    eps = desk.eps()
     n = abs(d)
     if bound is not None and n > bound:
         return WitnessReport("exp", (b, c, d), "refuted-to-bound", bound=bound)
     eps_n, d_quots = _exp_d_relation(desk.a.coeffs, d)
-    (one_u, one_w), (res_u, res_w) = _exp_b_residues(desk.a.coeffs, b, n)
+    k_b, x_quot = _exp_b_relation(desk.a.coeffs, b, n)
     witnesses = []
     for s1 in (1, -1):
-        k = s1 * c
-        if (res_u + one_u * k, res_w + one_w * k) != (ZERO, ZERO):
+        if s1 * c != k_b:
             continue
-        num1 = eps_n + QuadExt(k, 0, eps.D)
-        x_quot = num1.exact_div(eps - QuadExt(b, 0, eps.D))
         for s2, y_quot in d_quots:
             witnesses.append(
                 (n, s1, s2, eps_n.u, eps_n.w, x_quot.u, x_quot.w,
@@ -200,16 +198,25 @@ def exp_system(b, c, d, bound=None, desk=DESK):
 
 
 @lru_cache(maxsize=1 << 8)
-def _exp_b_residues(a_coeffs, b, n):
-    """(res(1), res(eps^n)) for eps at a, where res is (eps - b).residue.
+def _exp_b_relation(a_coeffs, b, n):
+    """(k, x) with (eps - b) x = eps^n + k for eps at a, or (None, None).
 
-    N(eps - b) = 1 - 2ab + b^2 is nonzero for a nonconstant a and b != 0,
-    so the residues exist.
+    With res the Q-linear map (eps - b).residue, (eps - b) | (eps^n + k)
+    exactly when res(eps^n) + k*res(1) = 0.  N(eps - b) = 1 - 2ab + b^2 is
+    nonconstant for a nonconstant a and b != 0, so res(1) != 0 and at most
+    one k holds: the one least squares gives.
     """
-    eps = epsilon(Poly(a_coeffs))
+    eps = _eps(a_coeffs)
     den = eps - QuadExt(b, 0, eps.D)
-    return (den.residue(QuadExt(1, 0, eps.D)),
-            den.residue(_eps_power(eps, n)))
+    eps_n = _eps_power(eps, n)
+    one, res = den.residue(QuadExt(1, 0, eps.D)), den.residue(eps_n)
+    # least squares: k = -<res(eps^n), res(1)> / <res(1), res(1)>
+    dot = sum(p * q for r, o in zip(res, one)
+              for p, q in zip(r.coeffs, o.coeffs))
+    k = -Fraction(dot, sum(q * q for o in one for q in o.coeffs))
+    if any(r + k * o != ZERO for r, o in zip(res, one)):
+        return None, None
+    return k, (eps_n + QuadExt(k, 0, eps.D)).exact_div(den)
 
 
 def _eps_power(eps, n):
@@ -222,7 +229,7 @@ def _eps_power(eps, n):
 def _exp_d_relation(a_coeffs, d):
     """The part of exp_system that depends on d alone, for eps at a: eps^|d|
     and each (s2, y) with (eps - 1)^2 y = d(eps - 1) + s2(eps^|d| - 1)."""
-    eps = epsilon(Poly(a_coeffs))
+    eps = _eps(a_coeffs)
     one = QuadExt(1, 0, eps.D)
     eps_n = _eps_power(eps, abs(d))
     e1 = eps - one

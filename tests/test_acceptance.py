@@ -92,25 +92,42 @@ MUTATIONS = {
 
 
 # The faults of test_01 and test_12, which the python -O run below adds to
-# MUTATIONS: a Pell pair with f off by one, and a Pos that accepts all.
+# MUTATIONS: a Pell pair with f off by one, a Pos that accepts all,
+# theta_inverse off by one at index 42 (so the round trip fails) and Par
+# tuples with c one too large (so 4-c-minimal fails).
 WRONG_PELL_PAIR = (acceptance, "pell_pair",
                    lambda right: lambda s, n: replace(right(s, n),
                                                       f=right(s, n).f + 1))
 POS_ACCEPTS_ALL = (parencode, "pos_check", lambda right: lambda F: True)
+THETA_INVERSE_OFF_BY_ONE = (
+    parencode, "theta_inverse",
+    lambda right: lambda P: right(P) + (right(P) == 42))
+PAR_C_PLUS_ONE = (parencode, "make_par_tuple",
+                  lambda right: lambda n: replace(right(n), c=right(n).c + 1))
+EXTRA_FAULTS = (("01-pell-laws", WRONG_PELL_PAIR),
+                ("12-theta-par", POS_ACCEPTS_ALL),
+                ("12-theta-par", THETA_INVERSE_OFF_BY_ONE),
+                ("12-theta-par", PAR_C_PLUS_ONE))
 
 
 # The caches that would keep values computed under a fault: Phi_n, Phi_n
-# mod p and the five-squares results.
+# mod p, the five-squares results, the Par cores, eps per desk and the
+# checked Hilbert-symbol places.
 FAULT_CACHES = (cyclotomic.cyclotomic, cyclotomic._cyclotomic_mod_p,
-                parencode._five_squares_cached)
+                parencode._five_squares_cached, parencode._par_core,
+                witness._eps, quadforms._place_is_prime)
 
 
 def _fails(name, fault, monkeypatch, request):
+    """The quick Check of criterion `name` with `fault` injected; it must
+    fail."""
     for cached in FAULT_CACHES:
         request.addfinalizer(cached.cache_clear)
     module, attr, wrong = fault
     monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
-    assert acceptance.run_criterion(name, "quick").status == "fail"
+    check = acceptance.run_criterion(name, "quick")
+    assert check.status == "fail"
+    return check
 
 
 @pytest.mark.parametrize("name", MUTATIONS)
@@ -125,6 +142,44 @@ def test_01_fails_on_wrong_pell_pair(monkeypatch, request):
 
 def test_12_fails_when_pos_accepts_everything(monkeypatch, request):
     _fails("12-theta-par", POS_ACCEPTS_ALL, monkeypatch, request)
+
+
+def test_12_fails_on_a_wrong_round_trip(monkeypatch, request):
+    check = _fails("12-theta-par", THETA_INVERSE_OFF_BY_ONE, monkeypatch,
+                   request)
+    assert check.details == "round trip at 42"
+
+
+def test_12_fails_on_a_c_above_the_minimum(monkeypatch, request):
+    check = _fails("12-theta-par", PAR_C_PLUS_ONE, monkeypatch, request)
+    assert check.details == "no accepting tuple at 1"
+
+
+def test_12_builds_each_par_core_once():
+    """From cold caches, quick c12 builds one Par core per index, though
+    make_par_tuple, par_eval and each reconstruct_check read it."""
+    parencode._par_core.cache_clear()
+    assert acceptance.run_criterion("12-theta-par", "quick").status == "pass"
+    n_par = acceptance.CRITERIA["12-theta-par"][1]["n_par"]
+    assert parencode._par_core.cache_info().misses == n_par
+
+
+def test_03_builds_eps_once_per_desk(monkeypatch):
+    """From cold caches, c03 builds eps once, whatever the size of its
+    grid."""
+    calls = []
+    right = witness.epsilon
+    monkeypatch.setattr(witness, "epsilon",
+                        lambda s: calls.append(s) or right(s))
+    builds = []
+    for b_max in (8, 16):
+        for cached in (witness._eps, witness._exp_b_relation,
+                       witness._exp_d_relation):
+            cached.cache_clear()
+        calls.clear()
+        assert acceptance.exp_grid(b_max=b_max, d_max=3, seed=0)[0]
+        builds.append(len(calls))
+    assert builds == [1, 1]
 
 
 def _python(script, *flags):
@@ -145,9 +200,7 @@ _EVERY_FAULT = """
 import test_acceptance as t
 from diobench import acceptance
 
-faults = {**t.MUTATIONS, "01-pell-laws": t.WRONG_PELL_PAIR,
-          "12-theta-par": t.POS_ACCEPTS_ALL}
-for name, (module, attr, wrong) in faults.items():
+for name, (module, attr, wrong) in [*t.MUTATIONS.items(), *t.EXTRA_FAULTS]:
     right = getattr(module, attr)
     setattr(module, attr, wrong(right))
     try:
@@ -163,7 +216,7 @@ def test_every_fault_fails_under_O():
     """python -O drops asserts; every injected fault still fails its
     criterion there."""
     run = _python(_EVERY_FAULT, "-O")
-    names = [*MUTATIONS, "01-pell-laws", "12-theta-par"]
+    names = [*MUTATIONS, *(name for name, _ in EXTRA_FAULTS)]
     assert run.stdout.splitlines() == [f"{n} fail" for n in names], run.stderr
 
 

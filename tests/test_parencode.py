@@ -33,10 +33,15 @@ def test_theta_examples():
     table = [Poly(), Poly([1]), Poly([-1]), T, Poly([2]), T + 1, -T, T * T]
     assert [theta(n) for n in range(1, 9)] == table
     assert [theta_inverse(P) for P in table] == list(range(1, 9))
-    with pytest.raises(ValueError):
-        theta(0)
-    with pytest.raises(ValueError):
-        theta_inverse(Poly([0.5]))
+    for n in (0, -1, -2**80):
+        with pytest.raises(ValueError):
+            theta(n)
+    for P in (Poly([0.5]), Poly([1, 2, Fraction(-1, 3)]),
+              Poly([Fraction(3, 4), 1])):
+        with pytest.raises(ValueError):
+            theta_inverse(P)
+    # bools are ints: True indexes like 1
+    assert theta_inverse(Poly([0, True])) == theta_inverse(T)
 
 
 def test_theta_round_trip_range():
@@ -52,6 +57,35 @@ def test_theta_round_trip_range():
 def test_theta_surjective(p):
     # every integer polynomial has an index; encode/decode is exact
     assert theta(theta_inverse(p)) == p
+
+
+def _theta_reference(n):
+    """theta by the string steps of docs/theta-scheme.md."""
+    if n == 1:
+        return Poly()
+    runs = [len(run) for run in bin(n - 1)[3:].split("1")]
+    runs[-1] += 1
+    return Poly([(u + 1) // 2 if u % 2 else -u // 2 for u in runs])
+
+
+def _theta_inverse_reference(P):
+    """theta_inverse by the string steps of docs/theta-scheme.md."""
+    if P.is_zero():
+        return 1
+    codes = [2 * c - 1 if c > 0 else -2 * c for c in P.coeffs]
+    codes[-1] -= 1
+    return int("1" + "1".join("0" * a for a in codes), 2) + 1
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 2**80),
+       coeffs=st.lists(st.integers(-10**6, 10**6), max_size=13))
+def test_theta_matches_the_string_reference(n, coeffs):
+    assert theta(n) == _theta_reference(n)
+    assert theta_inverse(theta(n)) == n
+    P = Poly(coeffs)
+    assert theta_inverse(P) == _theta_inverse_reference(P)
+    assert theta(theta_inverse(P)) == P
 
 
 def test_chebyshev_Y():

@@ -59,6 +59,28 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+def test_power_by_squaring(monkeypatch):
+    """p ** n multiplies no initial 1 and squares nothing past its top bit,
+    and equals repeated multiplication."""
+    for p in (T + 1, Poly([Fraction(1, 2), -3, 2]), Poly(), Poly([7])):
+        product = ONE
+        for n in range(13):
+            assert p**n == product, (p, n)
+            product = product * p
+    products = []
+    right = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda a, b: products.append(1) or right(a, b))
+    counts = []
+    for n in (2, 3, 4, 8):
+        products.clear()
+        (T + 1) ** n
+        counts.append(len(products))
+    assert counts == [1, 2, 2, 3]
+    with pytest.raises(ValueError):
+        T ** -1
+
+
 def _switching(test):
     for a, b in SWITCHING:
         test = example(a=a, b=b)(test)

@@ -48,6 +48,12 @@ DELETED = {
         "forweak_approx checks its indices distinct where it builds them",
     ("polynomial.py", "Poly.monic"):
         "gcds and square-free factors are primitive in Z[T] (Gauss's lemma)",
+    ("witness.py", "DeskInstantiation.eps"):
+        "eps is built once per a, by witness._eps",
+    ("parencode.py", "_zigzag_decode"):
+        "theta decodes each code in place, with shifts",
+    ("parencode.py", "_zigzag_encode"):
+        "theta_inverse shifts by each coefficient's run length directly",
 }
 
 # Runs in the child: read argv lists from stdin, run each through cli.main

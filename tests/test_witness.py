@@ -128,7 +128,7 @@ def _exp_reference(b, c, d, a):
                          "accepted" if found else "refuted", witnesses=found)
 
 
-@pytest.mark.parametrize("a", [T, 2 * T])
+@pytest.mark.parametrize("a", [T, 2 * T, T * T + 1])
 def test_exp_system_matches_reference(a):
     desk = DeskInstantiation(a=a)
     for b in [*range(-8, 0), *range(1, 9)]:
@@ -155,7 +155,8 @@ def test_eps_systems_answer_per_desk():
     for order in ((DESK, other), (other, DESK)):
         witness._q_ladder.cache_clear()
         witness._exp_d_relation.cache_clear()
-        witness._exp_b_residues.cache_clear()
+        witness._exp_b_relation.cache_clear()
+        witness._eps.cache_clear()
         runs.append({desk.a: _eps_answers(desk) for desk in order})
     assert runs[0] == runs[1]
     assert runs[0][DESK.a] != runs[0][other.a]
