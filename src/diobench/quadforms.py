@@ -256,7 +256,9 @@ def real_xi_construct(f):
 
     xi1 = +-1 gives a positive leading coefficient; xi3 starts at
     1 + Cauchy bound of xi1*f^3 + T and doubles until the Sturm count of h
-    is 0 (the first value already works; the loop is rigor, not hope).
+    is 0.  The first value need not work (for 2T^2 - 3 xi3 doubles from
+    35/4 to 35); the loop ends because xi1*f^3 + T, of even degree with a
+    positive leading coefficient, is bounded below.
     """
     f = Poly.coerce(f)
     if f.is_constant():

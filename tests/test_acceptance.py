@@ -1,12 +1,15 @@
 """The thirteen acceptance criteria, one test (and one printed pass/fail
 line) per row of `acceptance.CRITERIA`, at the full profile; the test id is
 the check name.  "measured" is a pass with data attached; only "fail"
-fails.  Mutation tests run rows at the quick profile with one fault
-injected and require "fail", all of them also under python -O, as do the
-self-checks of 01, 05, 07 and 13 on faults inside their constructions;
-the table itself is checked against the suite's report and the functions'
-signatures.  c11's irreducibility test is checked against sympy."""
+fails.  Mutation tests run criteria at the quick profile with one fault of
+the table FAULTS injected and require "fail", all of them also under
+python -O, where a line trace shows that together they reach every
+`return False, ...` of acceptance.py; so do the self-checks of 01, 05, 07
+and 13 on faults inside their constructions.  The criteria table itself
+is checked against the suite's report and the functions' signatures.
+c11's irreducibility test is checked against sympy."""
 
+import ast
 import inspect
 import json
 import os
@@ -18,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from diobench import acceptance, cyclotomic, parencode, quadforms, witness
+from diobench import (acceptance, cyclotomic, parencode, pellpairs,
+                      quadforms, witness)
 from diobench.polynomial import Poly, T
 
 
@@ -62,52 +66,98 @@ def _verdict(verdict):
                                         verdict=verdict))
 
 
-# check name: (module, public name it calls, right function -> wrong one)
-MUTATIONS = {
-    "02-singlefold-z": (witness, "singlefold_int",
-                        _verdict("refuted-to-bound")),
-    "03-exp-system": (witness, "exp_system", _verdict("accepted")),
-    "04-odd-integer": (witness, "odd_integer_refute", _verdict("accepted")),
-    "05-nonneg-gadget": (witness, "nonneg_gadget", _verdict("accepted")),
-    "06-cyclo-base": (cyclotomic, "cyclotomic",
-                      lambda right: lambda n: right(n) + 1),
+# One row per fault: (check name, (module or class, public name it calls,
+# right function -> wrong one), the details it must give or None).  The
+# rows of a check reach different failure returns.  None marks a fault
+# that a self-check inside a construction catches (07, 08, the first of
+# 11) or a criterion whose details are data (05, 09).
+FAULTS = [
+    # a pair with f off by one, which the round trip does not recognise
+    ("01-pell-laws", (acceptance, "pell_pair",
+                      lambda right: lambda s, n: replace(
+                          right(s, n), f=right(s, n).f + 1)),
+     "round trip T, 0"),
+    # the pair at n + 1: it satisfies the identity at the wrong index
+    ("01-pell-laws", (pellpairs, "pell_pair",
+                      lambda right: lambda s, n: right(s, n + (n >= 1))),
+     "degree law T, 1"),
+    ("01-pell-laws", (Poly, "divides", lambda right: lambda f, g: True),
+     "divisibility 2, 1, T"),
+    ("02-singlefold-z", (witness, "singlefold_int",
+                         _verdict("refuted-to-bound")),
+     "c = -5: refuted-to-bound, folds 1"),
+    ("02-singlefold-z", (witness, "singlefold_int", _verdict("accepted")),
+     "c = 1/2 not refuted: accepted"),
+    ("03-exp-system", (witness, "exp_system", _verdict("accepted")),
+     "(-8, 513, -3) wrongly accepted"),
+    ("03-exp-system", (witness, "exp_system", _verdict("refuted")),
+     "(-8, 512, -3): refuted, folds 1"),
+    ("04-odd-integer", (witness, "odd_integer_refute", _verdict("accepted")),
+     "a = 0 wrongly accepted"),
+    ("04-odd-integer", (witness, "odd_integer_system", _verdict("invalid")),
+     "r = -5: all relations hold"),
+    ("05-nonneg-gadget", (witness, "nonneg_gadget", _verdict("accepted")),
+     None),
+    ("06-cyclo-base", (cyclotomic, "cyclotomic",
+                       lambda right: lambda n: right(n) + 1),
+     "product at n = 1"),
     # indices congruent to 1 - s*T^d, so the product misses F
-    "07-forweak": (cyclotomic, "find_special_congruent",
-                   lambda right: lambda d, s, count, avoid_primes=(): right(
-                       d, -s, count, avoid_primes=avoid_primes)),
-    "08-approx-point": (cyclotomic, "crt",
-                        lambda right: lambda residues, moduli: right(
-                            residues, moduli) + 1),
-    "09-appendix-lemmas": (cyclotomic, "appendix_checks",
-                           lambda right: lambda **kw: {**right(**kw),
-                                                       "pass": False}),
-    "10-hilbert-symbols": (quadforms, "hilbert_symbol",
-                           lambda right: lambda a, b, v: -right(a, b, v)),
-    "11-xi-constructors": (quadforms, "eisenstein_certify",
-                           lambda right: lambda f, p: replace(
-                               right(f, p), verdict=False)),
-    "13-four-squares": (acceptance, "four_squares",
-                        lambda right: lambda n: tuple(sorted(right(n)))),
-}
+    ("07-forweak", (cyclotomic, "find_special_congruent",
+                    lambda right: lambda d, s, count, avoid_primes=(): right(
+                        d, -s, count, avoid_primes=avoid_primes)), None),
+    ("08-approx-point", (cyclotomic, "crt",
+                         lambda right: lambda residues, moduli: right(
+                             residues, moduli) + 1), None),
+    ("09-appendix-lemmas", (cyclotomic, "appendix_checks",
+                            lambda right: lambda **kw: {**right(**kw),
+                                                        "pass": False}),
+     None),
+    ("10-hilbert-symbols", (quadforms, "hilbert_symbol",
+                            lambda right: lambda a, b, v: -right(a, b, v)),
+     "mismatch at (-10, -10, 2)"),
+    # wrong only at 17, a place outside the grid: reciprocity sees it
+    ("10-hilbert-symbols", (quadforms, "hilbert_symbol",
+                            lambda right: lambda a, b, v: right(a, b, v) * (
+                                -1 if v == 17 else 1)),
+     "reciprocity fails at (-765, -5421)"),
+    ("11-xi-constructors", (quadforms, "eisenstein_certify",
+                            lambda right: lambda f, p: replace(
+                                right(f, p), verdict=False)), None),
+    # wrong only at degree <= 4, past the h of degree 6 that
+    # padic_xi_construct certifies
+    ("11-xi-constructors", (quadforms, "eisenstein_certify",
+                            lambda right: lambda f, p: right(f, p)
+                            if f.degree > 4 else replace(right(f, p),
+                                                         verdict=False)),
+     "certify 2 + 4*T + T^2 at 2"),
+    ("11-xi-constructors", (acceptance, "_monic_factor",
+                            lambda right: lambda g: T),
+     "2 + 4*T + T^2 factors over Q"),
+    ("12-theta-par", (parencode, "pos_check", lambda right: lambda F: True),
+     "perturbation accepted at n = 1: S = 1"),
+    # theta_inverse off by one at index 42, so the round trip fails
+    ("12-theta-par", (parencode, "theta_inverse",
+                      lambda right: lambda P: right(P) + (right(P) == 42)),
+     "round trip at 42"),
+    # Par tuples with c one too large, so 4-c-minimal fails
+    ("12-theta-par", (parencode, "make_par_tuple",
+                      lambda right: lambda n: replace(right(n),
+                                                      c=right(n).c + 1)),
+     "no accepting tuple at 1"),
+    ("13-four-squares", (acceptance, "four_squares",
+                         lambda right: lambda n: tuple(sorted(right(n)))),
+     "not canonical at 1"),
+]
 
 
-# The faults of test_01 and test_12, which the python -O run below adds to
-# MUTATIONS: a Pell pair with f off by one, a Pos that accepts all,
-# theta_inverse off by one at index 42 (so the round trip fails) and Par
-# tuples with c one too large (so 4-c-minimal fails).
-WRONG_PELL_PAIR = (acceptance, "pell_pair",
-                   lambda right: lambda s, n: replace(right(s, n),
-                                                      f=right(s, n).f + 1))
-POS_ACCEPTS_ALL = (parencode, "pos_check", lambda right: lambda F: True)
-THETA_INVERSE_OFF_BY_ONE = (
-    parencode, "theta_inverse",
-    lambda right: lambda P: right(P) + (right(P) == 42))
-PAR_C_PLUS_ONE = (parencode, "make_par_tuple",
-                  lambda right: lambda n: replace(right(n), c=right(n).c + 1))
-EXTRA_FAULTS = (("01-pell-laws", WRONG_PELL_PAIR),
-                ("12-theta-par", POS_ACCEPTS_ALL),
-                ("12-theta-par", THETA_INVERSE_OFF_BY_ONE),
-                ("12-theta-par", PAR_C_PLUS_ONE))
+def _fault_ids():
+    """A check's first row is named by the check, its later rows add their
+    place among the check's rows."""
+    ids, seen = [], {}
+    for name, _, _ in FAULTS:
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
+    return ids
 
 
 # The caches that would keep values computed under a fault: Phi_n, Phi_n
@@ -118,41 +168,18 @@ FAULT_CACHES = (cyclotomic.cyclotomic, cyclotomic._cyclotomic_mod_p,
                 witness._eps, quadforms._place_is_prime)
 
 
-def _fails(name, fault, monkeypatch, request):
-    """The quick Check of criterion `name` with `fault` injected; it must
-    fail."""
+@pytest.mark.parametrize("name, fault, details", FAULTS, ids=_fault_ids())
+def test_criterion_fails_on_fault(name, fault, details, monkeypatch, request):
+    """The quick Check of criterion `name` with `fault` injected fails,
+    with `details` when they are given."""
     for cached in FAULT_CACHES:
         request.addfinalizer(cached.cache_clear)
-    module, attr, wrong = fault
-    monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
+    owner, attr, wrong = fault
+    monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
     check = acceptance.run_criterion(name, "quick")
     assert check.status == "fail"
-    return check
-
-
-@pytest.mark.parametrize("name", MUTATIONS)
-def test_criterion_fails_on_fault(name, monkeypatch, request):
-    _fails(name, MUTATIONS[name], monkeypatch, request)
-
-
-def test_01_fails_on_wrong_pell_pair(monkeypatch, request):
-    """pell_laws reads the pair's identity through the round trip."""
-    _fails("01-pell-laws", WRONG_PELL_PAIR, monkeypatch, request)
-
-
-def test_12_fails_when_pos_accepts_everything(monkeypatch, request):
-    _fails("12-theta-par", POS_ACCEPTS_ALL, monkeypatch, request)
-
-
-def test_12_fails_on_a_wrong_round_trip(monkeypatch, request):
-    check = _fails("12-theta-par", THETA_INVERSE_OFF_BY_ONE, monkeypatch,
-                   request)
-    assert check.details == "round trip at 42"
-
-
-def test_12_fails_on_a_c_above_the_minimum(monkeypatch, request):
-    check = _fails("12-theta-par", PAR_C_PLUS_ONE, monkeypatch, request)
-    assert check.details == "no accepting tuple at 1"
+    if details is not None:
+        assert check.details == details
 
 
 def test_12_builds_each_par_core_once():
@@ -195,29 +222,64 @@ def _python(script, *flags):
 
 
 # Runs in the child: inject each fault of the table in turn, print the
-# criterion's quick status, then undo the fault and empty the caches.
+# criterion's quick status and details, then undo the fault and empty the
+# caches; last, print the lines of acceptance.py that ran under a fault.
 _EVERY_FAULT = """
+import json, sys
 import test_acceptance as t
 from diobench import acceptance
 
-for name, (module, attr, wrong) in [*t.MUTATIONS.items(), *t.EXTRA_FAULTS]:
-    right = getattr(module, attr)
-    setattr(module, attr, wrong(right))
+reached = set()
+
+def line(frame, event, arg):
+    if event == "line":
+        reached.add(frame.f_lineno)
+    return line
+
+def call(frame, event, arg):
+    return line if frame.f_code.co_filename == acceptance.__file__ else None
+
+for name, (owner, attr, wrong), _ in t.FAULTS:
+    right = getattr(owner, attr)
+    setattr(owner, attr, wrong(right))
+    sys.settrace(call)
     try:
-        print(name, acceptance.run_criterion(name, "quick").status)
+        check = acceptance.run_criterion(name, "quick")
     finally:
-        setattr(module, attr, right)
+        sys.settrace(None)
+        setattr(owner, attr, right)
         for cached in t.FAULT_CACHES:
             cached.cache_clear()
+    print(json.dumps([check.status, check.details]))
+print(json.dumps(sorted(reached)))
 """
+
+
+def _failure_returns():
+    """Line and source of every `return False, ...` in acceptance.py."""
+    src = Path(acceptance.__file__).read_text()
+    return {node.lineno: ast.get_source_segment(src, node)
+            for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Return)
+            and isinstance(node.value, ast.Tuple)
+            and isinstance(node.value.elts[0], ast.Constant)
+            and node.value.elts[0].value is False}
 
 
 def test_every_fault_fails_under_O():
     """python -O drops asserts; every injected fault still fails its
-    criterion there."""
+    criterion there, with its details, and together the faults reach every
+    failure return of acceptance.py: a check that no fault can fail is
+    reached by a new row or deleted."""
     run = _python(_EVERY_FAULT, "-O")
-    names = [*MUTATIONS, *(name for name, _ in EXTRA_FAULTS)]
-    assert run.stdout.splitlines() == [f"{n} fail" for n in names], run.stderr
+    *results, reached = map(json.loads, run.stdout.splitlines())
+    for row, (_, _, details), (status, got) in zip(
+            _fault_ids(), FAULTS, results, strict=True):
+        assert status == "fail", row
+        assert details is None or got == details, (row, got)
+    unreached = {line: src for line, src in _failure_returns().items()
+                 if line not in reached}
+    assert not unreached, f"no fault reaches acceptance.py lines {unreached}"
 
 
 def _status_and_cli(fault, name, argv):

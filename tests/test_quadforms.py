@@ -132,8 +132,13 @@ def test_padic_xi_rejects_odd_degree():
 
 
 def test_real_xi_construct():
-    for f in (T * T, T * T + 1, -T * T + T):
+    for f, xi3 in ((T * T, 3), (T * T + 1, 5), (-T * T + T, 5),
+                   # 1 + the Cauchy bound has a real root here: xi3
+                   # doubles from 35/4 twice and from 788/27 five times
+                   (2 * T * T - 3, 35),
+                   (3 * T * T - 5 * T - 7, Fraction(25216, 27))):
         xi, h = real_xi_construct(f)
+        assert xi.xi3 == xi3
         assert real_root_count(h) == 0
         assert h(0) > 0
         assert xi.xi1 in (1, -1)

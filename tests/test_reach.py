@@ -54,6 +54,9 @@ DELETED = {
         "theta decodes each code in place, with shifts",
     ("parencode.py", "_zigzag_encode"):
         "theta_inverse shifts by each coefficient's run length directly",
+    ("acceptance.py", "_coprime_components"):
+        "m | p - 1 in each (p, m), so one gcd of the products p*m and q*n "
+        "decides pairwise coprimality",
 }
 
 # Runs in the child: read argv lists from stdin, run each through cli.main
