@@ -3,7 +3,9 @@
 One subcommand per workbench area plus `verify-all` for the acceptance
 suite.  Reports print as text by default or JSON with --format json; exit
 status is 0 exactly when no check failed ("measured" and "exhausted" never
-fail a run).  WORKBENCH_BOUND overrides the default search bounds.
+fail a run).  WORKBENCH_BOUND, when set, is the search bound and the
+witness limit of every query that reads one: it overrides an explicit
+--bound or --witness-limit as well as their defaults.
 """
 
 import argparse

@@ -56,27 +56,11 @@ def _over_one_minus(c, d, length):
 
 @lru_cache(maxsize=None)
 def cyclotomic(n):
-    """Phi_n = prod_{d|n} (1 - T^d)^mu(n/d) for n > 1 (Phi_1 = T - 1).
-
-    The numerator factors are multiplied in first, then each denominator
-    factor is divided out exactly; its last d series coefficients must
-    vanish, or SelfCheckError is raised.
-    """
+    """Phi_n for 1 <= n <= CYCLO_MAX: `cyclotomic_mod` at T^(phi(n) + 1),
+    one past its degree; criterion 06 checks prod_{d|n} Phi_d = T^n - 1."""
     if not 1 <= n <= CYCLO_MAX:
         raise ValueError(f"n = {n} out of range [1, {CYCLO_MAX}]")
-    if n == 1:
-        return Poly([-1, 1])
-    num, den = _moebius_factors(n)
-    c = [1]
-    for d in num:
-        c = _times_one_minus(c, d)
-    for d in den:
-        q = _over_one_minus(c, d, len(c))
-        if any(q[-d:]):
-            raise SelfCheckError(f"1 - T^{d} does not divide the product "
-                                 f"for Phi_{n}")
-        c = q[:-d]
-    return Poly(c)
+    return cyclotomic_mod(n, euler_phi(n) + 1)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -85,13 +69,11 @@ def _cyclotomic_mod_p(n, p):
     return tuple(poly_mod_p(cyclotomic(n), p))
 
 
-def _trunc_mul(a, b, B):
-    return (a * b).truncate(B)
-
-
 def cyclotomic_mod(n, B):
-    """Phi_n mod T^B without full expansion: the passes of `cyclotomic`
-    truncated at B, skipping the factors 1 - T^d with d >= B."""
+    """Phi_n mod T^B, from Phi_n = prod_{d|n} (1 - T^d)^mu(n/d) for n > 1
+    (Phi_1 = T - 1): the numerator factors are multiplied in, then each
+    denominator factor is divided out as a series, all truncated at B; a
+    factor 1 - T^d with d >= B is 1 mod T^B and skipped."""
     if n == 1:
         return Poly([-1, 1]).truncate(B)
     num, den = _moebius_factors(n)
@@ -208,7 +190,7 @@ class CycloProductSpec:
     def expand_mod(self, B):
         acc = Poly([self.sign])
         for n in self.indices:
-            acc = _trunc_mul(acc, cyclotomic_mod(n, B), B)
+            acc = (acc * cyclotomic_mod(n, B)).truncate(B)
         return acc
 
     def to_dict(self):
@@ -244,7 +226,7 @@ def forweak_approx(F, d):
         new = find_special_congruent(e, s, abs(delta), avoid_primes=used)
         for n, top in new:
             used.add(top)
-            M = _trunc_mul(M, cyclotomic_mod(n, d), d)
+            M = (M * cyclotomic_mod(n, d)).truncate(d)
             indices.append(n)
     spec = CycloProductSpec(sign, sorted(indices))
     if len(set(indices)) != len(indices):
@@ -291,6 +273,8 @@ def approx_point(indices):
         residues.append(hensel_root_of_unity(sf.m, sf.p, k))
         moduli.append(sf.p**k)
     c = crt(residues, moduli)
+    if any(r != c % m for r, m in zip(residues, moduli)):
+        raise SelfCheckError(f"the CRT point {c} misses a lift")
     ell = 1
     for sf in sfs:
         ell *= sf.n
@@ -318,8 +302,6 @@ def approx_point(indices):
                 raise SelfCheckError(f"off-index ord_{sf.p}(Phi_{j}(c)) = {v}")
         rec["off_index_orders"] = off
         records.append(rec)
-    if any(r != c % m for r, m in zip(residues, moduli)):
-        raise SelfCheckError(f"the CRT point {c} misses a lift")
     return ApproxPoint(c, prod(moduli), records)
 
 

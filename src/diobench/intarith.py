@@ -5,6 +5,7 @@ decompositions.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from diobench import SelfCheckError
@@ -75,9 +76,6 @@ def ord_p(x, p):
     if x == 0:
         return INF
     return ord_int(x.numerator, p) - ord_int(x.denominator, p)
-
-
-from functools import lru_cache
 
 
 def factorize(n):

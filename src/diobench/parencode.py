@@ -60,11 +60,6 @@ def theta_inverse(P):
     return (n << (2 * last - 2 if last > 0 else -2 * last - 1)) + 1
 
 
-def chebyshev_Y(n):
-    """(X_n, Y_n): the Pell pair at s = T."""
-    return pell_pair(T, n)
-
-
 # -- Pos ----------------------------------------------------------------------
 
 
@@ -264,7 +259,7 @@ def _par_core(n):
     """P_n, d, Y_{d+2} and the Pos target Y_{d+2}^2 + c - P_n^2 - 1 less c."""
     P = theta(n)
     d = P.degree if P.degree is not None else 0  # zero polynomial: degree 0
-    Y = chebyshev_Y(d + 2).g
+    Y = pell_pair(T, d + 2).g
     base = Y * Y - P * P - 1
     return P, d, Y, base
 
@@ -351,7 +346,7 @@ def reconstruct_check(F, t):
     if ev["verdict"] != "accepted":
         raise ValueError("tuple not accepted by par_eval")
     F = Poly.coerce(F)
-    Y = chebyshev_Y(t.d + 2).g
+    _, _, Y, _ = _par_core(t.n)  # par_eval required t.d == d
     target = Y * Y + t.c - F * F - 1
     pos_ok = pos_check(target)
     value_ok = F(2 * t.b + 2 * t.c + t.d) == t.v

@@ -253,9 +253,7 @@ _ODD_RELATIONS = (
 
 
 def _odd_relations(a, f, g, f2, g2, f3, g3, tv):
-    """Yield (name, holds) for the seven relations, lazily and cheapest
-    first: the degree-2m Pell identity comes last, so `all` stops at the
-    first failed relation without building it."""
+    """Yield (name, holds) for the seven relations."""
     s = a * T  # a*x with x the polynomial variable
     if s.is_constant():
         yield "s-nonconstant", False
@@ -330,7 +328,7 @@ def odd_integer_refute(a_value, bound=15):
     map and s, g3 and g3^2 divide M, so s | f_m, g3 | g_m and
     g3^2 | t -+ g_m read the same off the reduced components, and every
     step costs the same whatever m is.  A candidate that passes the screen
-    is built in full and checked on every relation.
+    is built in full and checked by `odd_integer_system`, as any tuple is.
     """
     a = Poly.coerce(a_value)
     s = a * T
@@ -355,7 +353,7 @@ def odd_integer_refute(a_value, bound=15):
                 pm = pell_pair(s, m)
                 tup = (a, sign * pm.f, sign * pm.g, p2.f, p2.g, p3.f, p3.g,
                        tv)
-                if all(holds for _, holds in _odd_relations(*tup)):
+                if odd_integer_system(tuple_=tup).accepted:
                     return WitnessReport(
                         "odd-int", (a_value,), "accepted", witnesses=[tup],
                         bound=bound,

@@ -1,28 +1,30 @@
 """The thirteen acceptance criteria, one test (and one printed pass/fail
 line) per row of `acceptance.CRITERIA`, at the full profile; the test id is
 the check name.  "measured" is a pass with data attached; only "fail"
-fails.  Mutation tests run criteria at the quick profile with one fault of
-the table FAULTS injected and require "fail", all of them also under
-python -O, where a line trace shows that together they reach every
-`return False, ...` of acceptance.py; so do the self-checks of 01, 05, 07
-and 13 on faults inside their constructions.  The criteria table itself
+fails.  Mutation tests inject one fault of the table FAULTS and require a
+criterion at the quick profile to fail, or a command to exit 1 on its
+self-check; all rows run again under python -O, where a line trace shows
+that together they reach every `return False, ...` of acceptance.py and
+every `raise SelfCheckError` of the package.  The criteria table itself
 is checked against the suite's report and the functions' signatures.
 c11's irreducibility test is checked against sympy."""
 
 import ast
 import inspect
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from diobench import (acceptance, cyclotomic, parencode, pellpairs,
-                      quadforms, witness)
+from diobench import (acceptance, cli, cyclotomic, kernels, parencode,
+                      pellpairs, quadforms, witness)
 from diobench.polynomial import Poly, T
 
 
@@ -55,8 +57,8 @@ def test_criteria_table_is_consistent():
         sig.bind(**full_kw, **seed)
 
 
-# Mutation tests: one wrong value injected through a public name (so a warm
-# cache behind it cannot hide the fault) must make the criterion fail.
+# Mutation tests: one wrong value injected through a module or class
+# attribute must make a criterion fail, or a command exit 1.
 
 
 def _verdict(verdict):
@@ -66,11 +68,23 @@ def _verdict(verdict):
                                         verdict=verdict))
 
 
-# One row per fault: (check name, (module or class, public name it calls,
-# right function -> wrong one), the details it must give or None).  The
-# rows of a check reach different failure returns.  None marks a fault
-# that a self-check inside a construction catches (07, 08, the first of
-# 11) or a criterion whose details are data (05, 09).
+def _f_off_by_one(right):
+    """PellPair with f off by one, so the pair misses the Pell identity."""
+    return lambda n, f, g, s: right(n, f + 1, g, s)
+
+
+def _repeat_first(right):
+    """find_special_congruent giving its first index `count` times."""
+    return lambda d, s, count, avoid_primes=(): right(
+        d, s, 1, avoid_primes)[:1] * count
+
+
+# One row per fault: (target, (module or class, name it calls, right
+# function -> wrong one), the details it must give or None).  The target is
+# a check name, or an argv whose report must hold one check, the failed
+# self-check.  The rows of a target reach different failure returns or
+# self-checks.  None marks a criterion whose details are data (05, 09) or
+# the certificate of the first row of 11.
 FAULTS = [
     # a pair with f off by one, which the round trip does not recognise
     ("01-pell-laws", (acceptance, "pell_pair",
@@ -83,6 +97,10 @@ FAULTS = [
      "degree law T, 1"),
     ("01-pell-laws", (Poly, "divides", lambda right: lambda f, g: True),
      "divisibility 2, 1, T"),
+    # a pair built with f off by one: its identity check fails where it
+    # is built
+    ("01-pell-laws", (pellpairs, "PellPair", _f_off_by_one),
+     "f^2 - (s^2 - 1) g^2 != 1 at s = T, n = 0"),
     ("02-singlefold-z", (witness, "singlefold_int",
                          _verdict("refuted-to-bound")),
      "c = -5: refuted-to-bound, folds 1"),
@@ -96,18 +114,41 @@ FAULTS = [
      "a = 0 wrongly accepted"),
     ("04-odd-integer", (witness, "odd_integer_system", _verdict("invalid")),
      "r = -5: all relations hold"),
+    # every divisibility holds, so a = 2 passes the checker's relations
+    ("04-odd-integer", (Poly, "divides", lambda right: lambda f, g: True),
+     "accepted tuple has a = 2, not an odd integer"),
     ("05-nonneg-gadget", (witness, "nonneg_gadget", _verdict("accepted")),
      None),
+    ("05-nonneg-gadget", (witness, "exp_system", _verdict("refuted")),
+     "exp system refutes b = (d^4 + 1)^|2d| at d = -10"),
     ("06-cyclo-base", (cyclotomic, "cyclotomic",
                        lambda right: lambda n: right(n) + 1),
      "product at n = 1"),
     # indices congruent to 1 - s*T^d, so the product misses F
     ("07-forweak", (cyclotomic, "find_special_congruent",
                     lambda right: lambda d, s, count, avoid_primes=(): right(
-                        d, -s, count, avoid_primes=avoid_primes)), None),
+                        d, -s, count, avoid_primes=avoid_primes)),
+     "the product of Phi_n, n in [136, 156], differs from 1 - T^2 + T^4 "
+     "mod T^5"),
+    # the wrong parity of the factor count of r
+    ("07-forweak", (cyclotomic, "moebius", lambda right: lambda n: -right(n)),
+     "constructed index 156 fails the congruence"),
+    ("07-forweak", (cyclotomic, "find_special_congruent", _repeat_first),
+     "repeated index in [2, 20, 136, 136, 342]"),
     ("08-approx-point", (cyclotomic, "crt",
                          lambda right: lambda residues, moduli: right(
-                             residues, moduli) + 1), None),
+                             residues, moduli) + 1),
+     "the CRT point 2 misses a lift"),
+    # the root of unity of order 2 replaced by 1 ...
+    ("08-approx-point", (cyclotomic, "hensel_root_of_unity",
+                         lambda right: lambda m, p, k: 1 if m == 2
+                         else right(m, p, k)),
+     "ord_5(Phi_10(c)) = 0, not phi(2) = 1"),
+    # ... and those of order >= 3
+    ("08-approx-point", (cyclotomic, "hensel_root_of_unity",
+                         lambda right: lambda m, p, k: 1 if m >= 3
+                         else right(m, p, k)),
+     "off-index ord_7(Phi_1(c)) = INF"),
     ("09-appendix-lemmas", (cyclotomic, "appendix_checks",
                             lambda right: lambda **kw: {**right(**kw),
                                                         "pass": False}),
@@ -133,6 +174,9 @@ FAULTS = [
     ("11-xi-constructors", (acceptance, "_monic_factor",
                             lambda right: lambda g: T),
      "2 + 4*T + T^2 factors over Q"),
+    ("11-xi-constructors", (Poly, "compose",
+                            lambda right: lambda f, g: right(f, g) + 1),
+     "h(p^r T) != xi1 f^3 + xi2 T + xi3 at f = T^2, p = 2"),
     ("12-theta-par", (parencode, "pos_check", lambda right: lambda F: True),
      "perturbation accepted at n = 1: S = 1"),
     # theta_inverse off by one at index 42, so the round trip fails
@@ -144,42 +188,105 @@ FAULTS = [
                       lambda right: lambda n: replace(right(n),
                                                       c=right(n).c + 1)),
      "no accepting tuple at 1"),
+    # five parts that do not square up to their target
+    ("12-theta-par", (parencode, "_decompositions",
+                      lambda right: lambda G, k, limit: [
+                          [part + 1 for part in parts]
+                          for parts in right(G, k, limit)]),
+     "g^2 F != sum of the five squares at F = 4*T^2, g = 1"),
     ("13-four-squares", (acceptance, "four_squares",
                          lambda right: lambda n: tuple(sorted(right(n)))),
      "not canonical at 1"),
+    ("13-four-squares", (kernels, "four_squares_raw",
+                         lambda right: lambda n: (right(n)[0] + 1,)
+                         + right(n)[1:]),
+     "(1, 0, 0, 0) is no sum of four squares for 0"),
+    # CLI rows: a fault inside a construction reached from the command line
+    (["pell", "--s", "t", "--n", "3"], (pellpairs, "PellPair", _f_off_by_one),
+     "f^2 - (s^2 - 1) g^2 != 1 at s = T, n = 3"),
+    # s = t/3 + 1/2: pairs built over Z[T], then divided by powers of 6
+    (["pell", "--s", "1/3*t+1/2", "--n", "3"],
+     (pellpairs, "PellPair", _f_off_by_one),
+     "f^2 - (s^2 - 1) g^2 != 1 at s = 1/2 + 1/3*T, n = 3"),
+    # 1 + 2T needs two factors at T^1, so the fault repeats Phi_2
+    (["cyclo", "forweak", "--poly", "1+2*t", "--d", "2"],
+     (cyclotomic, "find_special_congruent", _repeat_first),
+     "repeated index in [2, 2]"),
+    # wrong at 3 and 5 both, so the product over all places stays 1
+    (["qform", "report", "--a", "2", "--b", "15"],
+     (quadforms, "hilbert_symbol",
+      lambda right: lambda a, b, v: right(a, b, v) * (
+          -1 if v in (3, 5) else 1)),
+     "(2, 15)_3 = 1 breaks the unit rule"),
+    (["qform", "xi", "--real", "--f", "2*t^2-3"],
+     (quadforms, "real_root_count", lambda right: lambda h: 0),
+     "h = -73/4 + T + 54*T^2 - 36*T^4 + 8*T^6 is not positive at 0"),
 ]
 
 
 def _fault_ids():
-    """A check's first row is named by the check, its later rows add their
-    place among the check's rows."""
+    """A target's first row is named by the target (a check name, or the
+    argv joined by "_"), its later rows add their place among the target's
+    rows."""
     ids, seen = [], {}
-    for name, _, _ in FAULTS:
+    for target, _, _ in FAULTS:
+        name = target if isinstance(target, str) else "_".join(target)
         seen[name] = seen.get(name, 0) + 1
         ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
     return ids
 
 
-# The caches that would keep values computed under a fault: Phi_n, Phi_n
-# mod p, the five-squares results, the Par cores, eps per desk and the
-# checked Hilbert-symbol places.
+# The caches that would keep values computed under a fault, or hide from a
+# warm run a fault inside the construction they cache: Phi_n, Phi_n mod p,
+# the five-squares results, the Par cores, the Pell pairs, eps per desk and
+# the checked Hilbert-symbol places.
 FAULT_CACHES = (cyclotomic.cyclotomic, cyclotomic._cyclotomic_mod_p,
                 parencode._five_squares_cached, parencode._par_core,
-                witness._eps, quadforms._place_is_prime)
+                pellpairs._pell_cached, witness._eps,
+                quadforms._place_is_prime)
 
 
-@pytest.mark.parametrize("name, fault, details", FAULTS, ids=_fault_ids())
-def test_criterion_fails_on_fault(name, fault, details, monkeypatch, request):
-    """The quick Check of criterion `name` with `fault` injected fails,
-    with `details` when they are given."""
+def _clear_caches():
     for cached in FAULT_CACHES:
-        request.addfinalizer(cached.cache_clear)
+        cached.cache_clear()
+
+
+def _outcome(target):
+    """The quick status and details of criterion `target`, or for an argv
+    the exit code of `diobench --format json` on it and the (name, status,
+    details) of each check of its report."""
+    if isinstance(target, str):
+        check = acceptance.run_criterion(target, "quick")
+        return [check.status, check.details]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["--format", "json", *target])
+    checks = json.loads(out.getvalue())["checks"]
+    return [code, [[c["name"], c["status"], c["details"]] for c in checks]]
+
+
+def _assert_fails(row, target, details, outcome):
+    """A criterion fails, with `details` when they are given; a command
+    exits 1 with one failed check, the self-check, with `details`."""
+    if isinstance(target, str):
+        status, got = outcome
+        assert status == "fail", row
+        assert details is None or got == details, (row, got)
+    else:
+        assert outcome == [1, [["self-check", "fail", details]]], (row,
+                                                                   outcome)
+
+
+@pytest.mark.parametrize("target, fault, details", FAULTS, ids=_fault_ids())
+def test_criterion_fails_on_fault(target, fault, details, monkeypatch,
+                                  request):
+    """The quick Check of criterion `target`, or the command `target`, with
+    `fault` injected fails, with `details` when they are given."""
+    _clear_caches()
+    request.addfinalizer(_clear_caches)
     owner, attr, wrong = fault
     monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
-    check = acceptance.run_criterion(name, "quick")
-    assert check.status == "fail"
-    if details is not None:
-        assert check.details == details
+    _assert_fails(request.node.name, target, details, _outcome(target))
 
 
 def test_12_builds_each_par_core_once():
@@ -221,141 +328,81 @@ def _python(script, *flags):
     return run
 
 
-# Runs in the child: inject each fault of the table in turn, print the
-# criterion's quick status and details, then undo the fault and empty the
-# caches; last, print the lines of acceptance.py that ran under a fault.
+# Runs in the child: inject each fault of the table in turn, print its
+# outcome, then undo the fault and empty the caches; last, print the
+# targets that ran under a fault.  Only frames whose code holds a target
+# get the line tracer.
 _EVERY_FAULT = """
 import json, sys
 import test_acceptance as t
-from diobench import acceptance
 
+targets = t._targets()
 reached = set()
+holds = {}
 
 def line(frame, event, arg):
-    if event == "line":
-        reached.add(frame.f_lineno)
+    key = (frame.f_code.co_filename, frame.f_lineno)
+    if event == "line" and key in targets:
+        reached.add(targets[key])
     return line
 
 def call(frame, event, arg):
-    return line if frame.f_code.co_filename == acceptance.__file__ else None
+    code = frame.f_code
+    if code not in holds:
+        holds[code] = any((code.co_filename, n) in targets
+                          for _, _, n in code.co_lines())
+    return line if holds[code] else None
 
-for name, (owner, attr, wrong), _ in t.FAULTS:
+for target, (owner, attr, wrong), _ in t.FAULTS:
     right = getattr(owner, attr)
+    t._clear_caches()
     setattr(owner, attr, wrong(right))
     sys.settrace(call)
     try:
-        check = acceptance.run_criterion(name, "quick")
+        outcome = t._outcome(target)
     finally:
         sys.settrace(None)
         setattr(owner, attr, right)
-        for cached in t.FAULT_CACHES:
-            cached.cache_clear()
-    print(json.dumps([check.status, check.details]))
+        t._clear_caches()
+    print(json.dumps(outcome))
 print(json.dumps(sorted(reached)))
 """
 
 
-def _failure_returns():
-    """Line and source of every `return False, ...` in acceptance.py."""
-    src = Path(acceptance.__file__).read_text()
-    return {node.lineno: ast.get_source_segment(src, node)
-            for node in ast.walk(ast.parse(src))
-            if isinstance(node, ast.Return)
-            and isinstance(node.value, ast.Tuple)
-            and isinstance(node.value.elts[0], ast.Constant)
-            and node.value.elts[0].value is False}
+def _targets():
+    """Map (file, line) of every `return False, ...` in acceptance.py and of
+    every `raise SelfCheckError` in the package to its name, file:line."""
+    found = {}
+    for path in sorted(Path(acceptance.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            failure_return = (
+                path.name == "acceptance.py"
+                and isinstance(node, ast.Return)
+                and isinstance(node.value, ast.Tuple)
+                and isinstance(node.value.elts[0], ast.Constant)
+                and node.value.elts[0].value is False)
+            self_check = (isinstance(node, ast.Raise)
+                          and isinstance(node.exc, ast.Call)
+                          and isinstance(node.exc.func, ast.Name)
+                          and node.exc.func.id == "SelfCheckError")
+            if failure_return or self_check:
+                found[str(path), node.lineno] = f"{path.name}:{node.lineno}"
+    return found
 
 
 def test_every_fault_fails_under_O():
     """python -O drops asserts; every injected fault still fails its
-    criterion there, with its details, and together the faults reach every
-    failure return of acceptance.py: a check that no fault can fail is
-    reached by a new row or deleted."""
+    criterion or command there, with its details, and together the faults
+    reach every failure return of acceptance.py and every SelfCheckError
+    raised in the package: a check that no fault can fail is reached by a
+    new row or deleted."""
     run = _python(_EVERY_FAULT, "-O")
-    *results, reached = map(json.loads, run.stdout.splitlines())
-    for row, (_, _, details), (status, got) in zip(
-            _fault_ids(), FAULTS, results, strict=True):
-        assert status == "fail", row
-        assert details is None or got == details, (row, got)
-    unreached = {line: src for line, src in _failure_returns().items()
-                 if line not in reached}
-    assert not unreached, f"no fault reaches acceptance.py lines {unreached}"
-
-
-def _status_and_cli(fault, name, argv):
-    """For each of python -O and plain python: the quick status of
-    criterion `name` after the lines `fault` ran, and the exit code and
-    JSON report of `diobench --format json` on argv."""
-    script = (f"import sys\nfrom diobench import acceptance, cli\n{fault}"
-              f"print(acceptance.run_criterion({name!r}, 'quick').status)\n"
-              f"sys.exit(cli.main(['--format', 'json', *{argv!r}]))\n")
-    for flags in (["-O"], []):
-        run = _python(script, *flags)
-        status, _, report = run.stdout.partition("\n")
-        yield status, run.returncode, json.loads(report)
-
-
-def _self_check_failed(report):
-    return [(c["name"], c["status"]) for c in report["checks"]] == [
-        ("self-check", "fail")]
-
-
-def _status_under_O(fault, name):
-    """The quick status of criterion `name` in a python -O process (which
-    drops asserts) after running the lines `fault`."""
-    script = (f"from diobench import acceptance\n{fault}"
-              f"print(acceptance.run_criterion({name!r}, 'quick').status)\n")
-    run = _python(script, "-O")
-    assert run.stdout.split() == ["fail"], run.stderr
-
-
-def test_07_fails_under_O():
-    """A repeated forweak index fails c07 and `cyclo forweak` through the
-    construction's self-check, with and without python -O; 1 + 2T needs
-    two factors at T^1, so the fault repeats Phi_2."""
-    fault = ("from diobench import cyclotomic as cyc\n"
-             "right = cyc.find_special_congruent\n"
-             "cyc.find_special_congruent = lambda d, s, count, "
-             "avoid_primes=(): right(d, s, 1, avoid_primes)[:1] * count\n")
-    argv = ["cyclo", "forweak", "--poly", "1+2*t", "--d", "2"]
-    for status, code, report in _status_and_cli(fault, "07-forweak", argv):
-        assert (status, code) == ("fail", 1)
-        assert _self_check_failed(report), report
-
-
-def test_01_fails_on_a_pair_off_the_identity():
-    """A Pell pair built with f off by one fails its identity check where
-    it is built, so c01 fails and `pell` exits 1, with and without
-    python -O, at an integer s and at s = t/3 + 1/2, whose pairs are built
-    over Z[T] and then divided by powers of 6."""
-    fault = ("from diobench import pellpairs\n"
-             "right = pellpairs.PellPair\n"
-             "pellpairs.PellPair = lambda n, f, g, s: right(n, f + 1, g, s)\n")
-    for s in ("t", "1/3*t+1/2"):
-        argv = ["pell", "--s", s, "--n", "3"]
-        for status, code, report in _status_and_cli(fault, "01-pell-laws",
-                                                    argv):
-            assert (status, code) == ("fail", 1)
-            assert _self_check_failed(report), report
-
-
-def test_05_fails_under_O():
-    """The gadget's own exp-system check survives python -O."""
-    _status_under_O(
-        "from dataclasses import replace\n"
-        "from diobench import witness\n"
-        "right = witness.exp_system\n"
-        "witness.exp_system = lambda *a, **kw: replace(right(*a, **kw), "
-        "verdict='refuted')\n", "05-nonneg-gadget")
-
-
-def test_13_fails_under_O():
-    """four_squares re-checks the kernel's answer under python -O."""
-    _status_under_O(
-        "from diobench import kernels\n"
-        "right = kernels.four_squares_raw\n"
-        "kernels.four_squares_raw = lambda n: "
-        "(right(n)[0] + 1,) + right(n)[1:]\n", "13-four-squares")
+    *outcomes, reached = map(json.loads, run.stdout.splitlines())
+    for row, (target, _, details), outcome in zip(
+            _fault_ids(), FAULTS, outcomes, strict=True):
+        _assert_fails(row, target, details, outcome)
+    unreached = sorted(set(_targets().values()) - set(reached))
+    assert not unreached, f"no fault reaches {unreached}"
 
 
 def _sympy_irreducible(g):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diobench.cyclotomic import (
+    CYCLO_MAX,
     CycloProductSpec,
     appendix_checks,
     approx_point,
@@ -37,10 +38,11 @@ def _check_against_sympy(n):
         assert cyclotomic_mod(n, B) == phi.truncate(B), (n, B)
 
 
-# 420 = 2^2*3*5*7, 546 = 2*3*7*13, 1092 = 2^2*3*7*13 and 2310 = 2*3*5*7*11
-# have many factors 1 - T^d; 105 is the first n with a coefficient -2
+# 420 = 2^2*3*5*7, 546 = 2*3*7*13, 1092 = 2^2*3*7*13, 2310 = 2*3*5*7*11
+# and 9240 = 2^3*3*5*7*11 have many factors 1 - T^d; 105 is the first n
+# with a coefficient -2; 10000 is CYCLO_MAX, the largest n accepted
 @pytest.mark.parametrize("n", [1, 2, 6, 12, 30, 105, 128, 255,
-                               420, 546, 1092, 2310])
+                               420, 546, 1092, 2310, 9240, CYCLO_MAX])
 def test_cyclotomic_matches_sympy(n):
     _check_against_sympy(n)
 
@@ -61,11 +63,11 @@ def test_cyclotomic_basics():
 
 
 @given(n=st.integers(2, 400), B=st.integers(1, 20))
-# A cold Phi_n for n near 400 takes about 0.3 s and its re-run hits the
-# lru_cache, so a deadline would fail by timing and by test order.
+# The reference is sympy's, since `cyclotomic` is `cyclotomic_mod` past the
+# degree.  sympy's first call is slow, so a deadline would fail by timing.
 @settings(max_examples=150, deadline=None)
 def test_cyclotomic_mod_truncation(n, B):
-    assert cyclotomic_mod(n, B) == cyclotomic(n).truncate(B)
+    assert cyclotomic_mod(n, B) == _sympy_phi(n).truncate(B)
 
 
 def test_special_form():

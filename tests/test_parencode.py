@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from diobench import parencode
 from diobench.parencode import (
     ParTuple,
-    chebyshev_Y,
     five_squares_search,
     five_squares_verify,
     make_par_tuple,
@@ -20,6 +19,7 @@ from diobench.parencode import (
     theta,
     theta_inverse,
 )
+from diobench.pellpairs import pell_pair
 from diobench.polynomial import Poly, T, squarefree_decomposition
 from test_polynomial import fraction_root_count
 
@@ -89,10 +89,11 @@ def test_theta_matches_the_string_reference(n, coeffs):
 
 
 def test_chebyshev_Y():
-    assert chebyshev_Y(0).f == Poly([1]) and chebyshev_Y(0).g == Poly()
-    p = chebyshev_Y(2)
+    """The Pell pairs at s = T that Par reads are (X_n, Y_n)."""
+    assert pell_pair(T, 0).f == Poly([1]) and pell_pair(T, 0).g == Poly()
+    p = pell_pair(T, 2)
     assert p.f == 2 * T * T - 1 and p.g == 2 * T
-    p = chebyshev_Y(3)
+    p = pell_pair(T, 3)
     assert p.f == 4 * T**3 - 3 * T and p.g == 4 * T * T - 1
 
 

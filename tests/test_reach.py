@@ -57,6 +57,11 @@ DELETED = {
     ("acceptance.py", "_coprime_components"):
         "m | p - 1 in each (p, m), so one gcd of the products p*m and q*n "
         "decides pairwise coprimality",
+    ("cyclotomic.py", "_trunc_mul"):
+        "a one-line wrapper over (a * b).truncate(B), inlined at its callers",
+    ("parencode.py", "chebyshev_Y"):
+        "a one-line wrapper over pell_pair(T, n); _par_core calls that, and "
+        "reconstruct_check reads Y from the Par core",
 }
 
 # Runs in the child: read argv lists from stdin, run each through cli.main

@@ -310,6 +310,13 @@ def test_workbench_bound_env(capsys, monkeypatch):
     doc = json.loads(out)
     # bound 0 cannot reach the witness at n = 3
     assert "refuted-to-bound" in json.dumps(doc)
+    # the variable beats an explicit --bound as well as the default
+    monkeypatch.setenv("WORKBENCH_BOUND", "3")
+    code, out = _run_cli(["--format", "json", "defsys", "singlefold-int",
+                          "--c", "5", "--bound", "50"], capsys)
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert (result["verdict"], result["bound"]) == ("refuted-to-bound", 3)
 
 
 def test_defsys_exp_honours_bound(capsys, monkeypatch):
