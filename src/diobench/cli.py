@@ -37,6 +37,11 @@ PELL_DEGREE_MAX = 400
 # 0.3 s at bound 60 for s = t, 0.75 s for t/3 + 1/2; s = t took 3.5 s at 160).
 PELL_LAWS_MAX = 60
 
+# Ceiling on d = deg theta(n) for `par eval`: each step of the minimal-c
+# search builds a degree-(2d + 2) Sturm chain (in process on 2 cores, the
+# slowest n < 10^4300 tried took 1.0 s at d = 20, 3.4 s at 30, 14 s at 40).
+PAR_DEGREE_MAX = 20
+
 
 def env_bound(default):
     """WORKBENCH_BOUND if set, else `default`; a bound must be an integer
@@ -265,6 +270,10 @@ def cmd_par(args):
     elif args.op == "eval":
         _require(args, what, "n")
         report.inputs["n"] = args.n
+        d = pe.theta(args.n).degree or 0
+        if d > PAR_DEGREE_MAX:
+            raise ValueError(f"par eval needs deg theta(n) <= "
+                             f"{PAR_DEGREE_MAX}, got {d}")
         t = pe.make_par_tuple(args.n)
         verdict = pe.par_eval(t)
         report.result = {"tuple": t.to_dict(),
@@ -368,18 +377,18 @@ def main(argv=None):
     if [] in vars(args).values():  # argparse reads --opt=-- as []
         ap.error("an option needs a value other than '--'")
     t0 = time.time()
+    # rendered in the try: str() of an int past Python's limit is a ValueError
     try:
-        report = args.fn(args)
+        try:
+            report = args.fn(args)
+        except SelfCheckError as e:
+            report = Report(args.command).add("self-check", False, str(e))
+        report.elapsed = time.time() - t0
+        text = report.to_json() if args.format == "json" else report.to_text()
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except SelfCheckError as e:
-        report = Report(args.command).add("self-check", False, str(e))
-    report.elapsed = time.time() - t0
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    print(text)
     return 0 if report.ok else 1
 
 

@@ -125,19 +125,6 @@ def congruence_profile(n):
     return d, s
 
 
-_PRIME_SEARCH_BOUND = 10**8
-
-
-def _next_prime_cong(m, avoid):
-    """Smallest prime p with p == 1 mod m and p not in avoid."""
-    p = 2 if m == 1 else m + 1
-    while p <= _PRIME_SEARCH_BOUND:
-        if p not in avoid and is_prime(p):
-            return p
-        p += 1 if m == 1 else m
-    raise RuntimeError(f"prime search exhausted for p == 1 mod {m}")
-
-
 def find_special_congruent(d, s, count, avoid_primes=frozenset()):
     """`count` pairs (n, p): a special-form index n with
     Phi_n == 1 + s*T^d mod T^(2d), and the fresh prime p of its r.
@@ -146,10 +133,11 @@ def find_special_congruent(d, s, count, avoid_primes=frozenset()):
     factorization of d, then n = r*m with r a fresh prime (odd factor
     count) or a fresh prime pair p_1*p_2 with p_2*m | p_1 - 1 (even
     count); the sign of T^d is set by the parity of the factor count of r.
-    Every returned index is verified by truncated expansion; the primes of
-    r are distinct across the returned list and avoid `avoid_primes`, so
-    the indices are distinct and the product of their cyclotomics stays
-    squarefree.
+    The fresh primes come in one ascending walk over p = 1 + k*m (1 + k*p_2*m
+    for a pair).  Every returned index is verified by truncated expansion;
+    the primes of r are distinct across the returned list and avoid
+    `avoid_primes`, so the indices are distinct and the product of their
+    cyclotomics stays squarefree.
     """
     if d < 1 or d > 16:
         raise ValueError("d out of range [1, 16]")
@@ -161,21 +149,18 @@ def find_special_congruent(d, s, count, avoid_primes=frozenset()):
     # s = -mu(r) * mu(rad m); odd factor count in r gives mu(r) = -1
     want_odd_r = s == moebius(radical(m))
     target = Poly([1] + [0] * (d - 1) + [s]).truncate(2 * d)
-    # freshness of the top prime alone makes the indices distinct, which is
-    # all squarefreeness of the product needs
-    used = set(avoid_primes) | set(factorize(m))
     p2 = 2
     while m % p2 == 0:
         p2 += 1
-    found = []
+    step = m if want_odd_r else p2 * m
+    found, p = [], 1
     while len(found) < count:
-        if want_odd_r:
-            p = _next_prime_cong(m, used)
-            n = p * m
-        else:
-            p = _next_prime_cong(p2 * m, used)
-            n = p * p2 * m
-        used.add(p)
+        p += step
+        # a fresh top prime (p == 1 mod step is prime to m) keeps the indices
+        # distinct, which is all squarefreeness of the product needs
+        if p in avoid_primes or not is_prime(p):
+            continue
+        n = p * step
         if cyclotomic_mod(n, 2 * d) != target:
             raise SelfCheckError(f"constructed index {n} fails the congruence")
         found.append((n, p))
@@ -197,6 +182,12 @@ class CycloProductSpec:
         return {"sign": self.sign, "indices": list(self.indices)}
 
 
+# Ceiling on the special factors of `forweak_approx` (as a process on 2
+# cores, 1 + 10000*T at d = 2 takes 0.5 s; 1 + 3T - 3T^2 at d = 8, with 2,333
+# factors, 0.3 s, and at d = 12 it needs more than the ceiling).
+FORWEAK_FACTORS_MAX = 10**4
+
+
 def forweak_approx(F, d):
     """A special root-of-unity product M with F == M mod T^d.
 
@@ -204,6 +195,8 @@ def forweak_approx(F, d):
     delta is cancelled by |delta| distinct special cyclotomics
     == 1 + sgn(delta)*F(0)*T^e mod T^(2e); a global used-prime set keeps the
     indices distinct so the product stays squarefree and in the special set.
+    The factors so far plus |delta| bound the final count from below; past
+    FORWEAK_FACTORS_MAX the sweep raises ValueError before it searches.
     """
     F = Poly.coerce(F)
     if any(not isinstance(c, int) for c in F.coeffs):
@@ -223,6 +216,9 @@ def forweak_approx(F, d):
             continue
         # each factor 1 + s*T^e shifts the T^e coefficient by s*M(0) = s*f0
         s = 1 if (delta > 0) == (f0 > 0) else -1
+        if len(indices) + abs(delta) > FORWEAK_FACTORS_MAX:
+            raise ValueError(f"F needs more than {FORWEAK_FACTORS_MAX} "
+                             f"special factors mod T^{d}")
         new = find_special_congruent(e, s, abs(delta), avoid_primes=used)
         for n, top in new:
             used.add(top)
@@ -256,8 +252,7 @@ def approx_point(indices):
     the on-index valuation equals phi(m_i) and is asserted for
     m_i in {1, 2}, measured otherwise.
     """
-    sfs = [i if isinstance(i, SpecialFormIndex)
-           else SpecialFormIndex(i[0] * i[1], i[0], i[1]) for i in indices]
+    sfs = [SpecialFormIndex(p * m, p, m) for p, m in indices]
     parts = []
     for sf in sfs:
         parts.extend([sf.p, sf.m] if sf.m > 1 else [sf.p])

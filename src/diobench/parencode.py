@@ -264,16 +264,18 @@ def _par_core(n):
     return P, d, Y, base
 
 
-_C_CAP = 10**4
-
-
 def minimal_c(n):
-    """Smallest positive c with Pos(Y_{d+2}^2 + c - P_n^2 - 1)."""
+    """Smallest positive c with Pos(Y_{d+2}^2 + c - P_n^2 - 1).  The base
+    has even degree 2d + 2 > 2 deg P_n and a positive lead, so some c holds,
+    and Pos(base + c) is monotone in c: double c until Pos holds, bisect."""
     _, _, _, base = _par_core(n)
-    for c in range(1, _C_CAP + 1):
-        if pos_check(base + c):
-            return c
-    raise RuntimeError("c search cap exceeded")
+    lo, hi = 0, 1  # lo = 0 or Pos fails at lo
+    while not pos_check(base + hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pos_check(base + mid) else (mid, hi)
+    return hi
 
 
 def make_par_tuple(n):

@@ -108,20 +108,10 @@ def singlefold_int(c, bound=50, desk=DESK):
                 if res_q == target:
                     pair = pell_pair(desk.a, n)
                     witnesses.append((n, sign, pair.f, pair.g))
-    # dedup: n = 0 hits both signs for c = 0 but is one witness
-    seen, unique = set(), []
-    for w in witnesses:
-        key = (w[0], w[2], w[3])
-        if key not in seen:
-            seen.add(key)
-            unique.append(w)
-    if unique:
-        return WitnessReport(
-            "singlefold-int", (c,), "accepted", witnesses=unique, bound=bound
-        )
-    return WitnessReport(
-        "singlefold-int", (c,), "refuted-to-bound", bound=bound
-    )
+                    break  # both signs match only at c = 0: res(1) != 0
+    verdict = "accepted" if witnesses else "refuted-to-bound"
+    return WitnessReport("singlefold-int", (c,), verdict,
+                         witnesses=witnesses, bound=bound)
 
 
 @lru_cache(maxsize=1 << 6)

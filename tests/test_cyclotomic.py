@@ -1,10 +1,16 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diobench import cyclotomic as cyc
 from diobench.cyclotomic import (
     CYCLO_MAX,
+    FORWEAK_FACTORS_MAX,
     CycloProductSpec,
     appendix_checks,
     approx_point,
@@ -140,6 +146,54 @@ def test_forweak_random(data):
     assert spec.expand_mod(d) == F.truncate(d)
     for n in spec.indices:
         assert special_form(n) is not None
+
+
+def test_forweak_factor_ceiling(monkeypatch):
+    """1 + 10000*T needs one factor Phi_p per unit of its T coefficient,
+    so the walk over p = 1 + k*1 gives the first 10,000 primes; one more
+    passes the ceiling before any search."""
+    F = 1 + FORWEAK_FACTORS_MAX * T
+    assert forweak_approx(F, 2).indices == list(
+        sympy.primerange(2, sympy.prime(FORWEAK_FACTORS_MAX) + 1))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched past the ceiling")
+
+    monkeypatch.setattr(cyc, "find_special_congruent", no_search)
+    with pytest.raises(ValueError, match="more than 10000 special factors"):
+        forweak_approx(F + T, 2)
+
+
+# Inputs of the forweak golden file: 30 seeded draws of F with F(0) = +-1,
+# degree <= 6 and |coefficients| <= 3 at d <= 8, then by hand three whose
+# sweeps need hundreds to thousands of factors (the count grows about
+# threefold per step of d once M drifts from F).
+FORWEAK_HAND_INPUTS = [([1, 3, -3], 7), ([1, 3, -3], 8), ([-1, -3, 3, -3], 8)]
+
+
+def forweak_inputs():
+    rng = random.Random(0)
+    drawn = []
+    for _ in range(30):
+        coeffs = [rng.choice((-1, 1))] + [
+            rng.randrange(-3, 4) for _ in range(rng.randrange(0, 7))]
+        drawn.append((coeffs, rng.randrange(1, 9)))
+    return drawn + FORWEAK_HAND_INPUTS
+
+
+def forweak_json():
+    """The forweak_approx result of each input, one run per line."""
+    runs = [json.dumps(dict(forweak_approx(Poly(coeffs), d).to_dict(),
+                            F=str(Poly(coeffs)), d=d), sort_keys=True)
+            for coeffs, d in forweak_inputs()]
+    return "[\n" + ",\n".join(runs) + "\n]\n"
+
+
+def test_forweak_matches_golden():
+    """Signs and indices stay as recorded: the prime walk finds the same
+    fresh primes."""
+    golden = Path(__file__).parent / "golden" / "forweak-seed0.json"
+    assert forweak_json() == golden.read_text()
 
 
 def test_approx_point_examples():

@@ -262,6 +262,22 @@ def test_minimal_c_measured():
     assert minimal_c(n_T) == 2  # min of 16T^4 - 9T^2 + 1 is -17/64
 
 
+def _minimal_c_linear(n):
+    base = parencode._par_core(n)[3]
+    c = 1
+    while not pos_check(base + c):
+        c += 1
+    return c
+
+
+def test_minimal_c_bisection_matches_a_linear_scan():
+    for n in range(1, 1001):
+        assert minimal_c(n) == _minimal_c_linear(n), n
+    # P = 150: Y_2 = 2T, so the base is 4T^2 - 22501
+    n = theta_inverse(Poly([150]))
+    assert minimal_c(n) == _minimal_c_linear(n) == 22501
+
+
 def test_par_pipeline_zero_poly():
     t = make_par_tuple(1)
     assert (t.d, t.c, t.b, t.v) == (0, 1, 0, 0)

@@ -62,6 +62,9 @@ DELETED = {
     ("parencode.py", "chebyshev_Y"):
         "a one-line wrapper over pell_pair(T, n); _par_core calls that, and "
         "reconstruct_check reads Y from the Par core",
+    ("cyclotomic.py", "_next_prime_cong"):
+        "restarted its walk for every index; find_special_congruent walks "
+        "p = 1 + k*step once per call",
 }
 
 # Runs in the child: read argv lists from stdin, run each through cli.main

@@ -15,6 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diobench import cli, cyclotomic, kernels
+from diobench.parencode import theta_inverse
+from diobench.polynomial import Poly
 from diobench.reports import Check, Report
 
 
@@ -186,6 +188,13 @@ def test_cli_exit_codes(capsys):
     # bound * deg s above cli.PELL_LAWS_MAX, from --bound or the knob
     ["pell", "--s", "t", "--n", "3", "--check-laws", "--bound", "61"],
     ("31", ["pell", "--s", "t^2", "--n", "3", "--check-laws"]),
+    # more than cyclotomic.FORWEAK_FACTORS_MAX special factors
+    ["cyclo", "forweak", "--poly", "1+3*t-3*t^2", "--d", "12"],
+    # deg theta(n) = 61, above cli.PAR_DEGREE_MAX
+    ["par", "eval", "--n", "4611686018427387904"],
+    # a report with an int past Python's digit limit for str()
+    ["par", "theta", "--poly", "100000"],
+    ["--format", "text", "par", "theta", "--poly", "100000"],
 ])
 def test_cli_bad_input_exits_2(argv, capsys, monkeypatch):
     if isinstance(argv, tuple):
@@ -276,6 +285,17 @@ def test_argv_fuzz_keeps_the_exit_contract(monkeypatch):
     # argparse reads --opt=-- as an empty list, which cli.main rejects
     @example(argv=["--format", "json", "cyclo", "phi", "--n=--"])
     @example(argv=["--format", "json", "pell", "--s=--", "--n=2"])
+    # past the forweak factor ceiling
+    @example(argv=["--format", "json", "cyclo", "forweak",
+                   "--poly=1+3*t-3*t^2", "--d=12"])
+    # theta(n) = 150, whose minimal c is 22501
+    @example(argv=["--format", "json", "par", "eval",
+                   f"--n={theta_inverse(Poly([150]))}"])
+    # deg theta(n) = 61, past the par eval ceiling
+    @example(argv=["--format", "json", "par", "eval",
+                   "--n=4611686018427387904"])
+    # an index past Python's digit limit for str()
+    @example(argv=["--format", "json", "par", "theta", "--poly=100000"])
     @settings(max_examples=2000, deadline=None)
     def exit_contract(argv):
         out, err = io.StringIO(), io.StringIO()
