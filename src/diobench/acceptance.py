@@ -263,8 +263,12 @@ def theta_par(n_round, n_par, perturbations, seed):
     rng = random.Random(seed)
     for n in range(1, n_par + 1):
         t = pe.make_par_tuple(n)
-        if pe.par_eval(t)["verdict"] != "accepted":
+        ev = pe.par_eval(t)
+        if ev["verdict"] != "accepted":
             return False, f"no accepting tuple at {n}"
+        # the target has degree 2d + 2, so at d <= 1 the search decides g
+        if t.d <= 1 and ev["conditions"]["5-g-minimal"] is not True:
+            return False, f"g semi-decided at {n}"
         P = pe.theta(n)
         k = 2 * t.b + 2 * t.c + t.d
         for _ in range(perturbations):

@@ -42,6 +42,11 @@ PELL_LAWS_MAX = 60
 # slowest n < 10^4300 tried took 1.0 s at d = 20, 3.4 s at 30, 14 s at 40).
 PAR_DEGREE_MAX = 20
 
+# Ceiling on |numerator * denominator| of `qform report`'s --a and --b, which
+# it factors by trial division (in process on 2 cores, the largest prime below
+# 10^12 factors in 0.03 s, below 10^14 in 0.34 s and below 10^16 in 3.4 s).
+QFORM_INT_MAX = 10**12
+
 
 def env_bound(default):
     """WORKBENCH_BOUND if set, else `default`; a bound must be an integer
@@ -210,7 +215,12 @@ def cmd_qform(args):
     if args.op == "report":
         _require(args, what, "a", "b")
         report.inputs = {"a": args.a, "b": args.b}
-        diag = qf.anisotropy_report(_rational(args.a), _rational(args.b))
+        a, b = _rational(args.a), _rational(args.b)
+        if max(abs(x.numerator * x.denominator) for x in (a, b)) > (
+                QFORM_INT_MAX):
+            raise ValueError(f"qform report needs |numerator * denominator| "
+                             f"<= {QFORM_INT_MAX} for --a and --b")
+        diag = qf.anisotropy_report(a, b)
         report.result = diag.to_dict()
         report.add("reciprocity", math.prod(diag.symbols.values()) == 1)
         report.add("isotropic-everywhere", "measured",
@@ -283,21 +293,26 @@ def cmd_par(args):
         _require(args, what, "poly")
         F = _poly(args.poly)
         report.inputs["F"] = format_poly(F)
-        res = pe.five_squares_search(
-            F, witness_limit=env_bound(args.witness_limit)
-        )
+        limit = env_bound(args.witness_limit)
+        res = pe.five_squares_search(F, witness_limit=limit)
+        stop = (f"stopped at the budget of "
+                f"{pe.FIVE_SQUARES_CANDIDATES_MAX} candidates")
         if res["status"] == "found":
             report.result = {
                 "g": res["g"],
                 "parts": [format_poly(p) for p in res["parts"]],
                 "count": res["count"],
             }
-            report.add("decomposition", True)
+            report.add("decomposition", True,
+                       f"{stop}, so the count is a lower bound"
+                       if res["exhausted"] and res["count"] < limit else None)
         else:
             report.result = res["status"]
+            # the search's own g_max is 4; a smaller one is where it stopped
             report.add("decomposition",
-                       "exhausted" if res["status"] == "exhausted"
-                       else False, res["status"])
+                       "exhausted" if res["status"] == "exhausted" else False,
+                       f"{stop}; g <= {res['g_max']} searched in full"
+                       if res.get("g_max", 4) < 4 else res["status"])
     return report
 
 

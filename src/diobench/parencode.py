@@ -23,8 +23,13 @@ from diobench.polynomial import (
 )
 
 # Small integers where Pos looks for a negative value before any Sturm work,
-# and where the five-squares search bounds its remainders and parts.
+# and where the five-squares search screens its candidate parts.
 SAMPLE_POINTS = (0, 1, -1, 2, -2, 3, -3)
+
+# The most (a, b, c) candidates that one five_squares_search examines, summed
+# over g; past it the search answers "exhausted" (nothing found) or marks its
+# count a lower bound.  It examines 0.5-3 million a second on 2 cores.
+FIVE_SQUARES_CANDIDATES_MAX = 10**6
 
 # -- theta: positive integers <-> integer polynomials -------------------------
 
@@ -113,81 +118,56 @@ def five_squares_verify(g, F, parts):
     return acc == g * g * F
 
 
-def _decompositions(G, k, limit):
-    """Canonical non-increasing 5-tuples of integer polynomials of degree
-    <= k (k <= 2) whose squares sum to G.
-
-    Parts are enumerated coefficientwise from the top: the degree-2k
-    coefficient of the running remainder is a sum of squares of the parts'
-    top coefficients, so each top coefficient is bounded by its square
-    root; middle coefficients are bounded through values at small points.
+def _decompositions(G, limit, budget):
+    """Up to `limit` canonical 5-tuples of parts c + bT + aT^2 (positive
+    lead, (a, b, c) non-increasing) whose squares sum to G = (r_0, ..., r_4),
+    and the budget left after one step per candidate, below 0 if it ran out.
+    The m parts left, with coefficient columns A, B and C, meet the Gram
+    identities |A|^2 = r_4, 2A.B = r_3, |B|^2 + 2A.C = r_2, 2B.C = r_1 and
+    |C|^2 = r_0 of the remainder r, so |B|^2 <= bb = r_2 + isqrt(4 r_4 r_0).
+    The next part is the largest, so its lead (the first of a, b, c that r
+    lets be nonzero) has m lead^2 >= top, the first nonzero of r_4, r_2, r_0.
     """
-    if k > 2:
-        raise ValueError("search restricted to parts of degree <= 2")
-    results = []
+    results, left = [], budget
 
-    def rec(R, prefix, prev_key):
-        if len(results) >= limit:
+    def rec(r, prefix):
+        nonlocal left
+        if not any(r):
+            results.append([Poly([c, b, a]) for a, b, c in prefix]
+                           + [Poly()] * (5 - len(prefix)))
             return
-        if R.is_zero():
-            results.append(prefix + [Poly()] * (5 - len(prefix)))
+        r0, r1, r2, r3, r4 = r
+        m, top = 5 - len(prefix), r4 or r2 or r0
+        bb = r2 + isqrt(4 * r4 * r0)
+        if (m == 0 or bb < 0 or r3 * r3 > 4 * r4 * bb or r1 * r1 > 4 * r0 * bb
+                or m * isqrt(top) ** 2 < top):
             return
-        if len(prefix) == 5:
-            return
-        if R.degree % 2 or R.lead() < 0:
-            return
-        vals = {}
-        for x in SAMPLE_POINTS:
-            rx = R(x)
-            if rx < 0:
-                return
-            vals[x] = rx
-        m = 5 - len(prefix)
-        a_max = isqrt(R[4]) if k == 2 else 0
-        c_max = isqrt(vals[0])
-        if k == 2:
-            b_max = (isqrt(vals[1]) + isqrt(vals[-1])) // 2
-        else:
-            b_max = isqrt(R[2]) if k >= 1 else 0
-        # the next part is the largest remaining one, so m copies of its
-        # top coefficient squared must reach the top coefficient of R
-        top = R[4] if k == 2 else (R[2] if k == 1 else R[0])
-        a_lo = 0
-        while m * a_lo * a_lo < top:
-            a_lo += 1
-        a_rng = range(a_max, a_lo - 1, -1) if k == 2 else range(0, 1)
-        for a in a_rng:
-            for b in range(-b_max, b_max + 1):
-                if a == 0 and b < 0:
-                    continue  # canonical sign: leading coefficient > 0
-                if k == 1 and b < a_lo:
-                    continue
-                for c in range(-c_max, c_max + 1):
-                    if a == 0 and b == 0 and c <= 0:
-                        continue
-                    if k == 0 and c < a_lo:
-                        continue
-                    # the sign rules leave a positive lead, so the part's
-                    # key (degree, then coefficients from the top down) is
-                    # read off (a, b, c) without normalizing its sign
-                    if a:
-                        key = (3, (a, b, c))
-                    elif b:
-                        key = (2, (b, c))
-                    else:
-                        key = (1, (c,))
-                    if key > prev_key:
-                        continue
-                    if any((c + b * x + a * x * x) ** 2 > rx
-                           for x, rx in vals.items()):
-                        continue
-                    cand = Poly([c, b, a])
-                    rec(R - cand * cand, prefix + [cand], key)
-                    if len(results) >= limit:
+        lo = isqrt((top - 1) // m) + 1
+        a_max, b_max, c_max = isqrt(r4), isqrt(bb), isqrt(r0)
+        a_lo, b_lo, c_lo = ((lo, -b_max, -c_max) if a_max else
+                            (0, lo, -c_max) if b_max else (0, 0, lo))
+        pa, pb, pc = prefix[-1] if prefix else (a_max, b_max, c_max)
+        vals = [(x, r0 + x * (r1 + x * (r2 + x * (r3 + x * r4))))
+                for x in SAMPLE_POINTS]
+        for a in range(min(a_max, pa), a_lo - 1, -1):
+            for b in range(b_lo, (b_max if a < pa else min(b_max, pb)) + 1):
+                c_hi = c_max if (a, b) < (pa, pb) else min(c_max, pc)
+                for c in range(c_lo, c_hi + 1):
+                    left -= 1
+                    if left < 0:
                         return
+                    for x, rx in vals:  # screened at SAMPLE_POINTS
+                        if (c + b * x + a * x * x) ** 2 > rx:
+                            break
+                    else:
+                        rec((r0 - c * c, r1 - 2 * b * c,
+                             r2 - b * b - 2 * a * c, r3 - 2 * a * b,
+                             r4 - a * a), prefix + [(a, b, c)])
+                        if left < 0 or len(results) >= limit:
+                            return
 
-    rec(G, [], (k + 2, ()))
-    return results
+    rec(tuple(G), [])
+    return results, left
 
 
 def five_squares_search(F, g_max=4, witness_limit=50):
@@ -222,10 +202,10 @@ def _five_squares_cached(coeffs, g_max, witness_limit):
     if F.is_zero():
         return {"status": "found", "g": 1,
                 "parts": [Poly()] * 5, "count": 1, "exhausted": False}
-    k = F.degree // 2
+    budget = FIVE_SQUARES_CANDIDATES_MAX
     for g in range(1, g_max + 1):
-        G = g * g * F
-        found = _decompositions(G, k, witness_limit)
+        G = [g * g * x for x in coeffs] + [0] * (5 - len(coeffs))
+        found, budget = _decompositions(G, witness_limit, budget)
         if found:
             parts = found[0]
             if not five_squares_verify(g, F, parts):
@@ -233,7 +213,9 @@ def _five_squares_cached(coeffs, g_max, witness_limit):
                                      f"F = {F}, g = {g}")
             return {"status": "found", "g": g, "parts": parts,
                     "count": len(found),
-                    "exhausted": len(found) >= witness_limit}
+                    "exhausted": budget < 0 or len(found) >= witness_limit}
+        if budget < 0:
+            return {"status": "exhausted", "g_max": g - 1}
     return {"status": "exhausted", "g_max": g_max}
 
 
@@ -322,14 +304,10 @@ def par_eval(t):
         and pos_check(target)
         and (t.c == 1 or not pos_check(base + (t.c - 1)))
     )
-    if (target.degree or 0) <= 4:
-        res = five_squares_search(target, witness_limit=1)
-        if res["status"] == "found":
-            conds["5-g-minimal"] = t.g == res["g"]
-        else:
-            conds["5-g-minimal"] = "semi-decided"
-    else:
-        conds["5-g-minimal"] = "semi-decided"
+    res = (five_squares_search(target, witness_limit=1)
+           if (target.degree or 0) <= 4 else {"status": "degree-above-4"})
+    conds["5-g-minimal"] = (t.g == res["g"] if res["status"] == "found"
+                            else "semi-decided")
     conds["6-b-bound"] = all(Y(x) <= t.b for x in range(0, t.d + 1))
     conds["7-value"] = P(2 * t.b + 2 * t.c + t.d) == t.v
     verdict = "accepted" if all(

@@ -79,6 +79,14 @@ def _repeat_first(right):
         d, s, 1, avoid_primes)[:1] * count
 
 
+def _parts_plus_one(right):
+    """_decompositions adding 1 to every part it finds."""
+    def wrong(G, limit, budget):
+        found, left = right(G, limit, budget)
+        return [[part + 1 for part in parts] for parts in found], left
+    return wrong
+
+
 # One row per fault: (target, (module or class, name it calls, right
 # function -> wrong one), the details it must give or None).  The target is
 # a check name, or an argv whose report must hold one check, the failed
@@ -189,11 +197,12 @@ FAULTS = [
                                                       c=right(n).c + 1)),
      "no accepting tuple at 1"),
     # five parts that do not square up to their target
-    ("12-theta-par", (parencode, "_decompositions",
-                      lambda right: lambda G, k, limit: [
-                          [part + 1 for part in parts]
-                          for parts in right(G, k, limit)]),
+    ("12-theta-par", (parencode, "_decompositions", _parts_plus_one),
      "g^2 F != sum of the five squares at F = 4*T^2, g = 1"),
+    # a search that finds nothing leaves condition 5 semi-decided
+    ("12-theta-par", (parencode, "_decompositions",
+                      lambda right: lambda G, limit, budget: ([], budget)),
+     "g semi-decided at 1"),
     ("13-four-squares", (acceptance, "four_squares",
                          lambda right: lambda n: tuple(sorted(right(n)))),
      "not canonical at 1"),

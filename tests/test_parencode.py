@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,10 +213,10 @@ def five_squares_targets():
     return targets + FIVE_SQUARES_HAND_TARGETS
 
 
-def five_squares_json():
+def five_squares_json(targets):
     """The five_squares_search result of each target, parts as text."""
     runs = []
-    for F in five_squares_targets():
+    for F in targets:
         res = five_squares_search(F)
         if "parts" in res:
             res["parts"] = [str(p) for p in res["parts"]]
@@ -226,7 +227,44 @@ def five_squares_json():
 def test_five_squares_match_golden():
     """Statuses, g, first decompositions and counts stay as recorded."""
     golden = Path(__file__).parent / "golden" / "five-squares-seed0.json"
-    assert five_squares_json() == golden.read_text()
+    assert five_squares_json(five_squares_targets()) == golden.read_text()
+
+
+def seeded_square_sums(seed=0):
+    """Distinct sums of one to five squares: 50 of degree 4, 20 of degree 2
+    and 10 constants, parts with |coefficients| <= 6 and top coefficient
+    <= 3; then the Par targets of theta(n) = uT + v, 1 <= u <= 3,
+    |v| <= 3."""
+    rng = random.Random(seed)
+    targets = []
+    for degree, count in ((4, 50), (2, 20), (0, 10)):
+        start = len(targets)
+        while len(targets) - start < count:
+            parts = []
+            for i in range(rng.randint(1, 5)):
+                top = rng.randint(1 if i == 0 else 0, 3)
+                low = [rng.randint(-6, 6) for _ in range(degree // 2)]
+                parts.append(Poly(low + [top]))
+            F = sum((p * p for p in parts), Poly())
+            if F not in targets:
+                targets.append(F)
+    for u in range(1, 4):
+        for v in range(-3, 4):
+            n = theta_inverse(u * T + v)
+            F = parencode._par_core(n)[3] + minimal_c(n)
+            if F not in targets:
+                targets.append(F)
+    return targets
+
+
+def test_seeded_five_squares_match_golden():
+    """The seeded sums of squares and Par targets that the golden keeps
+    (those that the search it was made with answered within 1 s at witness
+    limit 50) keep their statuses, g, first decompositions and counts."""
+    golden = Path(__file__).parent / "golden" / "five-squares-sums-seed0.json"
+    kept = {run["target"] for run in json.loads(golden.read_text())}
+    targets = [F for F in seeded_square_sums() if str(F) in kept]
+    assert five_squares_json(targets) == golden.read_text()
 
 
 def test_five_squares_search_results_are_independent():
@@ -254,6 +292,42 @@ def test_five_squares_found_implies_pos(data):
         assert five_squares_verify(res["g"], F, res["parts"])
     elif res["status"] == "not-pos":
         assert not pos_check(F)
+
+
+def test_five_squares_search_stops_at_the_budget(monkeypatch, request):
+    """Past FIVE_SQUARES_CANDIDATES_MAX candidates, summed over g, a search
+    that found nothing answers exhausted with the last g searched in full;
+    one that found parts marks its count as a lower bound."""
+    parencode._five_squares_cached.cache_clear()
+    request.addfinalizer(parencode._five_squares_cached.cache_clear)
+    # g = 1 takes 3 candidates and finds nothing; 1 + T + T^2 needs g = 2
+    monkeypatch.setattr(parencode, "FIVE_SQUARES_CANDIDATES_MAX", 4)
+    assert five_squares_search(T * T + T + 1) == {"status": "exhausted",
+                                                  "g_max": 1}
+    # 2T^2 + 50 has 9 decompositions at g = 1, found in 124 candidates
+    monkeypatch.setattr(parencode, "FIVE_SQUARES_CANDIDATES_MAX", 60)
+    res = five_squares_search(2 * T * T + 50)
+    assert (res["g"], res["count"], res["exhausted"]) == (1, 4, True)
+    monkeypatch.undo()
+    parencode._five_squares_cached.cache_clear()
+    res = five_squares_search(2 * T * T + 50)
+    assert (res["g"], res["count"], res["exhausted"]) == (1, 9, False)
+
+
+def test_par_eval_semi_decides_past_the_budget():
+    """theta(n) = 10T + 10 has d = 1, but its Par target
+    16T^4 - 108T^2 - 200T + 588 finds no five squares within the budget,
+    so g = 1 and condition 5 is semi-decided."""
+    n = theta_inverse(10 * T + 10)
+    assert n == 274878169089
+    t = make_par_tuple(n)
+    target = parencode._par_core(n)[3] + t.c
+    assert target == 16 * T**4 - 108 * T * T - 200 * T + 588
+    assert five_squares_search(target, witness_limit=1) == {
+        "status": "exhausted", "g_max": 0}
+    ev = par_eval(t)
+    assert t.g == 1 and ev["verdict"] == "accepted"
+    assert ev["conditions"]["5-g-minimal"] == "semi-decided"
 
 
 def test_minimal_c_measured():

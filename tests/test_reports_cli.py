@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diobench import cli, cyclotomic, kernels
+from diobench import cli, cyclotomic, kernels, parencode
 from diobench.parencode import theta_inverse
 from diobench.polynomial import Poly
 from diobench.reports import Check, Report
@@ -130,6 +130,26 @@ def test_cli_reports_a_failed_self_check(capsys, monkeypatch):
         ("self-check", "fail")]
 
 
+@pytest.mark.parametrize("budget, poly, details", [
+    (4, "1+t+t^2",
+     "stopped at the budget of 4 candidates; g <= 1 searched in full"),
+    (60, "50+2*t^2",
+     "stopped at the budget of 60 candidates, so the count is a lower bound"),
+], ids=["exhausted", "found"])
+def test_five_squares_reports_its_budget(budget, poly, details, capsys,
+                                         monkeypatch, request):
+    """A five-squares search that stops at its budget exits 0, and its
+    decomposition check says so."""
+    cached = parencode._five_squares_cached
+    cached.cache_clear()
+    request.addfinalizer(cached.cache_clear)
+    monkeypatch.setattr(parencode, "FIVE_SQUARES_CANDIDATES_MAX", budget)
+    code, out = _run_cli(["--format", "json", "par", "five-squares",
+                          "--poly", poly], capsys)
+    assert code == 0
+    assert json.loads(out)["checks"][0]["details"] == details
+
+
 def test_cli_pell_example(capsys):
     code, out = _run_cli(["--format", "json", "pell", "--s", "t",
                           "--n", "3"], capsys)
@@ -195,6 +215,9 @@ def test_cli_exit_codes(capsys):
     # a report with an int past Python's digit limit for str()
     ["par", "theta", "--poly", "100000"],
     ["--format", "text", "par", "theta", "--poly", "100000"],
+    # |numerator * denominator| above cli.QFORM_INT_MAX
+    ["qform", "report", "--a", "100000000000000000039", "--b", "5"],
+    ["qform", "report", "--a", "2", "--b", "1/1000000000001"],
 ])
 def test_cli_bad_input_exits_2(argv, capsys, monkeypatch):
     if isinstance(argv, tuple):
@@ -296,6 +319,13 @@ def test_argv_fuzz_keeps_the_exit_contract(monkeypatch):
                    "--n=4611686018427387904"])
     # an index past Python's digit limit for str()
     @example(argv=["--format", "json", "par", "theta", "--poly=100000"])
+    # d = 1, but the five-squares search stops at its budget
+    @example(argv=["--format", "json", "par", "eval", "--n=274878169089"])
+    @example(argv=["--format", "json", "par", "five-squares",
+                   "--poly=1000000000000"])
+    # past the qform factoring ceiling
+    @example(argv=["--format", "json", "qform", "report",
+                   "--a=100000000000000000039", "--b=5"])
     @settings(max_examples=2000, deadline=None)
     def exit_contract(argv):
         out, err = io.StringIO(), io.StringIO()
