@@ -308,11 +308,12 @@ def cmd_par(args):
                        if res["exhausted"] and res["count"] < limit else None)
         else:
             report.result = res["status"]
-            # the search's own g_max is 4; a smaller one is where it stopped
+            # a g_max below the search's own is where it stopped
             report.add("decomposition",
                        "exhausted" if res["status"] == "exhausted" else False,
                        f"{stop}; g <= {res['g_max']} searched in full"
-                       if res.get("g_max", 4) < 4 else res["status"])
+                       if res.get("g_max", pe.FIVE_SQUARES_G_MAX)
+                       < pe.FIVE_SQUARES_G_MAX else res["status"])
     return report
 
 

@@ -17,8 +17,8 @@ from diobench.polynomial import (
     Poly,
     T,
     chain_root_count,
+    poly_gcd,
     real_root_count,
-    squarefree_decomposition,
     sturm_chain,
 )
 
@@ -30,6 +30,9 @@ SAMPLE_POINTS = (0, 1, -1, 2, -2, 3, -3)
 # over g; past it the search answers "exhausted" (nothing found) or marks its
 # count a lower bound.  It examines 0.5-3 million a second on 2 cores.
 FIVE_SQUARES_CANDIDATES_MAX = 10**6
+
+# The largest g that five_squares_search tries by default.
+FIVE_SQUARES_G_MAX = 4
 
 # -- theta: positive integers <-> integer polynomials -------------------------
 
@@ -72,10 +75,12 @@ def pos_check(F):
     """F(t) >= 0 for every real t, decided exactly.
 
     True iff F = 0, or deg F is even with positive lead and no real root of
-    odd multiplicity (squarefree factors of odd multiplicity must have Sturm
-    count 0).  A negative value at one of SAMPLE_POINTS refutes Pos first;
-    otherwise one Sturm chain of F decides it unless F has a repeated factor
-    and a real root.  Each polynomial is decided once.
+    odd multiplicity.  A negative value at one of SAMPLE_POINTS refutes Pos
+    first; otherwise Sturm counts down the gcd tower g_0 = F, g_k =
+    gcd(g_{k-1}, g_{k-1}') decide it.  A root of multiplicity m is a root of
+    g_0, ..., g_{m-1}, so N(g_0) - N(g_1) + N(g_2) - ... of their distinct
+    real root counts is the number of roots of odd multiplicity.  The Sturm
+    chain of F ends in g_1.  Each polynomial is decided once.
     """
     return _pos_cached(Poly.coerce(F).coeffs)
 
@@ -87,20 +92,14 @@ def _pos_cached(coeffs):
         return True
     if F.degree % 2 or F.lead() < 0:
         return False
-    if F.degree == 0:
-        return True
     if any(F(x) < 0 for x in SAMPLE_POINTS):
         return False
     chain = sturm_chain(F)
-    if chain_root_count(chain) == 0:
-        return True
-    if chain[-1].degree == 0:
-        return False  # squarefree, so a real root is a sign change
-    # a repeated factor: only roots of odd multiplicity change the sign
-    for factor, mult in squarefree_decomposition(F):
-        if mult % 2 and real_root_count(factor) > 0:
-            return False
-    return True
+    odd, sign, g = chain_root_count(chain), -1, chain[-1]
+    while g.degree:
+        odd += sign * real_root_count(g)
+        sign, g = -sign, poly_gcd(g, g.derivative())
+    return odd == 0
 
 
 # -- five squares -------------------------------------------------------------
@@ -170,7 +169,7 @@ def _decompositions(G, limit, budget):
     return results, left
 
 
-def five_squares_search(F, g_max=4, witness_limit=50):
+def five_squares_search(F, g_max=FIVE_SQUARES_G_MAX, witness_limit=50):
     """Bounded search for the minimal g with g^2 F a sum of five squares.
 
     Returns a dict with status "found" (g, parts, witness count within the

@@ -461,29 +461,6 @@ def chain_root_count(chain):
     return _sign_changes(at_neg) - _sign_changes(at_pos)
 
 
-def squarefree_decomposition(p):
-    """Yun's algorithm on primitive parts, so every exact division stays in
-    Z: list of (factor, multiplicity), factors primitive."""
-    p = Poly.coerce(p)
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    p = p.primitive_part()
-    g = poly_gcd(p, p.derivative())
-    out = []
-    w = p.exact_div(g)
-    y = p.derivative().exact_div(g)
-    i = 1
-    while not w.is_constant():
-        z = y - w.derivative()
-        f = poly_gcd(w, z)
-        if not f.is_constant():
-            out.append((f, i))
-        w = w.exact_div(f)
-        y = z.exact_div(f)
-        i += 1
-    return out
-
-
 # -- quadratic extension R[T][sqrt(D)] ----------------------------------------
 
 

@@ -21,8 +21,8 @@ from diobench.parencode import (
     theta_inverse,
 )
 from diobench.pellpairs import pell_pair
-from diobench.polynomial import Poly, T, squarefree_decomposition
-from test_polynomial import fraction_root_count
+from diobench.polynomial import Poly, T
+from test_polynomial import euclid_gcd, fraction_root_count
 
 int_polys = st.builds(
     Poly, st.lists(st.integers(-8, 8), min_size=0, max_size=5)
@@ -117,15 +117,35 @@ def test_pos_check_repeated_call_agrees():
         assert pos_check(Poly(list(F.coeffs))) is expected  # equal, not same
 
 
+def _derivative(p):
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def _odd_multiplicity_factors(F):
+    """The square-free factors of F of odd multiplicity, by Yun's algorithm
+    over Q with Euclid's gcd."""
+    dF = _derivative(F)
+    g = euclid_gcd(F, dF)
+    w, y = F.exact_div(g), dF.exact_div(g)
+    odd, i = [], 1
+    while w.degree:
+        z = y - _derivative(w)
+        f = euclid_gcd(w, z)
+        if i % 2:
+            odd.append(f)
+        w, y, i = w.exact_div(f), z.exact_div(f), i + 1
+    return odd
+
+
 def _pos_reference(F):
-    """Pos the long way: Yun's decomposition, then a Sturm count over Q
-    for each factor of odd multiplicity."""
+    """Pos the long way: Yun's decomposition over Q, then a Sturm count over
+    Q for each factor of odd multiplicity."""
     if F.is_zero():
         return True
     if F.degree % 2 or F.lead() < 0:
         return False
     return all(fraction_root_count(f) == 0
-               for f, m in squarefree_decomposition(F) if m % 2)
+               for f in _odd_multiplicity_factors(F))
 
 
 coeffs = st.one_of(st.integers(-6, 6),
@@ -142,21 +162,24 @@ def test_pos_check_agrees_with_reference(a, b, shape):
     assert pos_check(F) is _pos_reference(F)
 
 
-@pytest.mark.parametrize("F, expected, yun", [
+@pytest.mark.parametrize("F, expected, tower", [
     ((10 * T - 1) * (10 * T - 2), False, False),
     ((10 * T - 1) ** 3 * (10 * T - 2), False, True),
     ((10 * T - 1) ** 2 * (T * T + 1), True, True),
+    ((10 * T - 1) ** 4 * (10 * T - 2) ** 2, True, True),
+    ((10 * T - 1) ** 5 * (10 * T - 2), False, True),
 ])
-def test_pos_check_past_the_sample_points(F, expected, yun, monkeypatch):
-    """Positive at every sample point, so the Sturm chain decides; only a
-    repeated factor with a real root reaches Yun's decomposition."""
+def test_pos_check_past_the_sample_points(F, expected, tower, monkeypatch):
+    """Positive at every sample point, so Sturm counts decide; a
+    square-free F stops at its first chain, and only a repeated factor
+    goes down the gcd tower."""
     assert all(F(x) > 0 for x in parencode.SAMPLE_POINTS)
     calls = []
-    real = parencode.squarefree_decomposition
-    monkeypatch.setattr(parencode, "squarefree_decomposition",
-                        lambda p: calls.append(p) or real(p))
+    real = parencode.poly_gcd
+    monkeypatch.setattr(parencode, "poly_gcd",
+                        lambda a, b: calls.append(a) or real(a, b))
     assert parencode._pos_cached.__wrapped__(F.coeffs) is expected
-    assert bool(calls) is yun
+    assert bool(calls) is tower
     assert pos_check(F) is expected
 
 

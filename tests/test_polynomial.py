@@ -18,7 +18,6 @@ from diobench.polynomial import (
     real_root_count,
     resultant,
     resultant_fp,
-    squarefree_decomposition,
     sturm_chain,
 )
 
@@ -135,12 +134,12 @@ def test_gcd_and_resultant():
                         poly_mod_p(T - 1, 5), 5) == 2
 
 
-def euclid_gcd_degree(a, b):
-    """deg gcd(a, b) by Euclid's algorithm over Q: the reference for the
-    library's primitive remainder sequence."""
+def euclid_gcd(a, b):
+    """A gcd of a and b over Q by Euclid's algorithm, remainders by `%`: the
+    reference for the library's primitive remainder sequence."""
     while not b.is_zero():
         a, b = b, a % b
-    return a.degree
+    return a
 
 
 @given(a=rat_polys, b=rat_polys, c=rat_polys)
@@ -150,7 +149,7 @@ def test_poly_gcd_is_primitive_and_divides(a, b, c):
     # a*c and b*c share c, so the gcd is often nonconstant
     for x, y in ((a, b), (a * c, b * c)):
         g = poly_gcd(x, y)
-        assert g.degree == euclid_gcd_degree(x, y)
+        assert g.degree == euclid_gcd(x, y).degree
         if g.is_zero():
             continue
         assert (x % g).is_zero() and (y % g).is_zero()
@@ -248,14 +247,6 @@ def test_cauchy_bound_contains_roots():
     p = (T - 5) * (T + 7) * (2 * T - 1)
     b = cauchy_bound(p)
     assert b >= 7
-
-
-def test_squarefree_decomposition():
-    p = (T - 1) ** 2 * (T + 2) ** 3 * (T * T + 1)
-    parts = dict(squarefree_decomposition(p))
-    assert parts[T - 1] == 2
-    assert parts[T + 2] == 3
-    assert parts[T * T + 1] == 1
 
 
 def quad_power(x, n):

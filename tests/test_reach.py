@@ -65,6 +65,8 @@ DELETED = {
     ("cyclotomic.py", "_next_prime_cong"):
         "restarted its walk for every index; find_special_congruent walks "
         "p = 1 + k*step once per call",
+    ("polynomial.py", "squarefree_decomposition"):
+        "Pos counts roots down the gcd tower",
 }
 
 # Runs in the child: read argv lists from stdin, run each through cli.main
