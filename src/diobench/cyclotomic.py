@@ -19,12 +19,7 @@ from diobench.intarith import (
     ord_int,
     radical,
 )
-from diobench.polynomial import (
-    Poly,
-    poly_mod_p,
-    resultant,
-    resultant_fp,
-)
+from diobench.polynomial import Poly, resultant
 
 CYCLO_MAX = 10**4
 
@@ -61,12 +56,6 @@ def cyclotomic(n):
     if not 1 <= n <= CYCLO_MAX:
         raise ValueError(f"n = {n} out of range [1, {CYCLO_MAX}]")
     return cyclotomic_mod(n, euler_phi(n) + 1)
-
-
-@lru_cache(maxsize=1 << 10)
-def _cyclotomic_mod_p(n, p):
-    """Phi_n mod p as a tuple of ints; ValueError if the degree drops."""
-    return tuple(poly_mod_p(cyclotomic(n), p))
 
 
 def cyclotomic_mod(n, B):
@@ -306,9 +295,9 @@ def appendix_checks(n_max=200, grid=60):
     (i) Phi_{p^s}(1) = p, and gcd(Phi_r(1), p) = 1 when r has another prime
         factor;
     (ii) for p coprime to m: p | Res(Phi_m, Phi_r) implies r = m*p^a
-        (checked with resultants mod p on a reduced grid); the stated
-        extra clause m | p^a - 1 is measured only -- (r, m, p) = (6, 3, 2)
-        is a counterexample;
+        (checked on a reduced grid, each p read off the integer resultant);
+        the stated extra clause m | p^a - 1 is measured only -- (r, m, p) =
+        (6, 3, 2) is a counterexample;
     (iii) measured |Res(Phi_m, Phi_{pm})| against p^phi(m).
     """
     report = {"value_at_one": [], "divisibility": [],
@@ -323,14 +312,14 @@ def appendix_checks(n_max=200, grid=60):
             ok = all(val % p != 0 for p in fac)
         report["value_at_one"].append({"n": n, "value": val, "pass": ok})
         report["pass"] &= ok
-    # (ii): reduced grid, resultants mod p (small enough to stay quick)
+    # (ii): reduced grid; one integer Res(Phi_m, Phi_r) per pair answers
+    # p | Res for every p
     for m in range(1, grid + 1):
         for r in range(m + 1, grid + 1):
+            res = resultant(cyclotomic(m), cyclotomic(r))
             for p in (2, 3, 5, 7, 11, 13):
-                # hypotheses: p coprime to the root index (tested first, as
-                # it is free) and p | Res(Phi_m, Phi_r)
-                if m % p == 0 or resultant_fp(_cyclotomic_mod_p(m, p),
-                                              _cyclotomic_mod_p(r, p), p):
+                # hypotheses: p coprime to the root index and p | Res
+                if m % p == 0 or res % p:
                     continue
                 ok = False
                 a = 0

@@ -317,67 +317,34 @@ def poly_gcd(a, b):
     lemma): the last member of the primitive remainder sequence."""
     a, b = (Poly.coerce(x).primitive_part().coeffs for x in (a, b))
     while b:
-        a, b = b, _neg_prem_primitive(a, b)
+        a, b = b, _neg_prem_primitive(a, b)[2]
     return Poly(a).primitive_part()
 
 
 def resultant(a, b):
-    """Res(a, b) over Q via the Euclidean recursion."""
+    """Res(a, b) over Q: 0 if a or b is zero, an int when it is integral.
+
+    Computed in Z[T] by the primitive remainder sequence.  With m, n the
+    degrees of a and b, Res(a, b) = (-1)^(mn) lc(b)^(m - deg r) Res(b, r)
+    for r = a mod b, and the sequence's next member is -(s/g) r, so
+    Res(b, r) = (-g/s)^n times the resultant of b and that member.  These
+    factors go into one rational accumulator, with the denominators that
+    clearing a and b once takes out.
+    """
     a, b = Poly.coerce(a), Poly.coerce(b)
     if a.is_zero() or b.is_zero():
         return 0
-    res = 1
-    while True:
-        if b.degree == 0:
-            return _norm_coeff(res * b.lead() ** a.degree)
-        r = a % b
-        if r.is_zero():
-            return 0 if a.degree > 0 else _norm_coeff(res)
-        res *= ((-1) ** (a.degree * b.degree)
-                * b.lead() ** (a.degree - r.degree))
-        a, b = b, r
-
-
-def poly_mod_p(a, p):
-    """Coefficient list of a mod p, ascending.  Requires integer
-    coefficients; raises ValueError if a is zero or its degree drops mod p."""
-    coeffs = Poly.coerce(a).coeffs
-    for c in coeffs:
-        if not isinstance(c, int):
-            raise ValueError(f"coefficient {c} is not an integer")
-    if not coeffs or coeffs[-1] % p == 0:
-        raise ValueError("leading coefficient vanishes mod p")
-    return [c % p for c in coeffs]
-
-
-def resultant_fp(fa, fb, p):
-    """Res(fa, fb) in F_p for ascending coefficient sequences over F_p with
-    nonzero leading entries."""
-    res = 1
-    while True:
-        if not fb:
-            return 0
-        if len(fb) == 1:
-            return res * pow(fb[0], len(fa) - 1, p) % p
-        # fa mod fb over F_p
-        r = list(fa)
-        inv = pow(fb[-1], -1, p)
-        while len(r) >= len(fb) and r:
-            c = r[-1] * inv % p
-            k = len(r) - len(fb)
-            for i, oc in enumerate(fb):
-                r[k + i] = (r[k + i] - c * oc) % p
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
+    (da, a), (db, b) = a.cleared(), b.cleared()
+    res = Fraction(1, da ** (len(b) - 1) * db ** (len(a) - 1))
+    while len(b) > 1:
+        s, g, r = _neg_prem_primitive(a, b)
         if not r:
-            return 0 if len(fa) > 1 else res % p
-        res = (
-            res
-            * pow(-1, (len(fa) - 1) * (len(fb) - 1), p)
-            * pow(fb[-1], len(fa) - len(r), p)
-        ) % p
-        fa, fb = fb, r
+            return 0
+        m, n = len(a) - 1, len(b) - 1
+        res *= ((-1) ** (m * n) * b[-1] ** (m + 1 - len(r))
+                * Fraction(-g, s) ** n)
+        a, b = b, r
+    return _norm_coeff(res * b[0] ** (len(a) - 1))
 
 
 def _sign_changes(vals):
@@ -401,19 +368,20 @@ def sturm_chain(p):
     b = chain[0].derivative().coeffs
     while b:
         chain.append(Poly(b))
-        a, b = b, _neg_prem_primitive(a, b)
+        a, b = b, _neg_prem_primitive(a, b)[2]
     return chain
 
 
 def _neg_prem_primitive(a, b):
-    """-(a mod b) times a positive rational, with integer coprime entries,
-    for integer coefficient lists a and b, b nonzero.
+    """(s, g, r) with g * r = -s * (a mod b), for integer coefficient lists
+    a and b, b nonzero: r has integer coprime entries, s and g are positive
+    integers (g = 0 when b divides a, and then r is empty).
 
-    Each step scales the remainder by |lc b| / g, g = gcd(top, lc b), a
-    positive integer, so the pseudo-remainder |lc b|^k * a mod b differs
-    from the result only by a positive factor that the content removes.
+    Each step scales the remainder by |lc b| / gcd(top, lc b), a positive
+    integer, and s is the product of these scales; g is the content of
+    s * (a mod b).
     """
-    lc = b[-1]
+    lc, s = b[-1], 1
     r = list(a)
     while len(r) >= len(b):
         top = r.pop()
@@ -421,13 +389,14 @@ def _neg_prem_primitive(a, b):
         scale, c = abs(lc) // g, top // g * (1 if lc > 0 else -1)
         shift = len(r) - len(b) + 1
         if scale != 1:
+            s *= scale
             r = [scale * x for x in r]
         for i, x in enumerate(b[:-1]):
             r[shift + i] -= c * x
         while r and r[-1] == 0:
             r.pop()
     g = gcd(*r)
-    return [-x // g for x in r]
+    return s, g, [-x // g for x in r]
 
 
 def cauchy_bound(p):

@@ -151,12 +151,12 @@ def exp_system(b, c, d, bound=None, desk=DESK):
 
     Witness (n, s1, s2): (eps - b) | (eps^n + s1*c) and
     (eps - 1)^2 | (d*(eps-1) + s2*(eps^n - 1)); n must equal |d| for the
-    second relation to hold, so the search is direct.  Witnesses are
-    deduplicated by the underlying ring values (u, w, x, y), which folds the
-    spurious sign ambiguity at c = 0 or d = 0.  The second relation depends
-    on d alone and is built once per (a, d).  The first holds for at most
-    one value of s1*c, read off residues once per (a, b, n) with its
-    quotient.
+    second relation to hold, so the search is direct.  The first relation
+    holds for one value of s1*c at most, -b^n, read off residues once per
+    (a, b, n) with its quotient; b != 0 makes it nonzero, so at most one s1
+    matches.  The second depends on d alone and is built once per (a, d);
+    only d = 0 admits both s2, and both give y = 0, so the first s2 is the
+    witness.
     """
     b, c, d = int(b), int(c), int(d)
     if b == 0:
@@ -164,26 +164,15 @@ def exp_system(b, c, d, bound=None, desk=DESK):
     n = abs(d)
     if bound is not None and n > bound:
         return WitnessReport("exp", (b, c, d), "refuted-to-bound", bound=bound)
-    eps_n, d_quots = _exp_d_relation(desk.a.coeffs, d)
+    eps_n, d_quot = _exp_d_relation(desk.a.coeffs, d)
     k_b, x_quot = _exp_b_relation(desk.a.coeffs, b, n)
-    witnesses = []
     for s1 in (1, -1):
-        if s1 * c != k_b:
-            continue
-        for s2, y_quot in d_quots:
-            witnesses.append(
-                (n, s1, s2, eps_n.u, eps_n.w, x_quot.u, x_quot.w,
-                 y_quot.u, y_quot.w)
-            )
-    # fold by ring values: (u, w) of eps^n and the two quotients
-    seen, unique = set(), []
-    for w in witnesses:
-        key = w[3:]
-        if key not in seen:
-            seen.add(key)
-            unique.append(w)
-    if unique:
-        return WitnessReport("exp", (b, c, d), "accepted", witnesses=unique)
+        if d_quot is not None and s1 * c == k_b:
+            s2, y_quot = d_quot
+            witness = (n, s1, s2, eps_n.u, eps_n.w, x_quot.u, x_quot.w,
+                       y_quot.u, y_quot.w)
+            return WitnessReport("exp", (b, c, d), "accepted",
+                                 witnesses=[witness])
     return WitnessReport("exp", (b, c, d), "refuted")
 
 
@@ -218,18 +207,18 @@ def _eps_power(eps, n):
 @lru_cache(maxsize=1 << 6)
 def _exp_d_relation(a_coeffs, d):
     """The part of exp_system that depends on d alone, for eps at a: eps^|d|
-    and each (s2, y) with (eps - 1)^2 y = d(eps - 1) + s2(eps^|d| - 1)."""
+    and the first (s2, y) with (eps - 1)^2 y = d(eps - 1) + s2(eps^|d| - 1),
+    or None."""
     eps = _eps(a_coeffs)
     one = QuadExt(1, 0, eps.D)
     eps_n = _eps_power(eps, abs(d))
     e1 = eps - one
     den2 = e1 * e1
-    quots = []
     for s2 in (1, -1):
         num2 = d * e1 + s2 * (eps_n - one)
         if den2.divides(num2):
-            quots.append((s2, num2.exact_div(den2)))
-    return eps_n, tuple(quots)
+            return eps_n, (s2, num2.exact_div(den2))
+    return eps_n, None
 
 
 # -- odd-integer system (seven relations at s = a*x) --------------------------

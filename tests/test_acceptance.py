@@ -161,6 +161,14 @@ FAULTS = [
                             lambda right: lambda **kw: {**right(**kw),
                                                         "pass": False}),
      None),
+    # every resultant one too large, so lemma (ii) sees false divisors
+    ("09-appendix-lemmas", (cyclotomic, "resultant",
+                            lambda right: lambda a, b: right(a, b) + 1),
+     [{"r": 2, "m": 1, "p": 3, "pass": False},
+      {"r": 3, "m": 1, "p": 2, "pass": False},
+      {"r": 4, "m": 1, "p": 3, "pass": False},
+      {"r": 5, "m": 1, "p": 2, "pass": False},
+      {"r": 5, "m": 1, "p": 3, "pass": False}]),
     ("10-hilbert-symbols", (quadforms, "hilbert_symbol",
                             lambda right: lambda a, b, v: -right(a, b, v)),
      "mismatch at (-10, -10, 2)"),
@@ -246,12 +254,11 @@ def _fault_ids():
 
 
 # The caches that would keep values computed under a fault, or hide from a
-# warm run a fault inside the construction they cache: Phi_n, Phi_n mod p,
-# the five-squares results, the Par cores, the Pell pairs, eps per desk and
-# the checked Hilbert-symbol places.
-FAULT_CACHES = (cyclotomic.cyclotomic, cyclotomic._cyclotomic_mod_p,
-                parencode._five_squares_cached, parencode._par_core,
-                pellpairs._pell_cached, witness._eps,
+# warm run a fault inside the construction they cache: Phi_n, the
+# five-squares results, the Par cores, the Pell pairs, eps per desk and the
+# checked Hilbert-symbol places.
+FAULT_CACHES = (cyclotomic.cyclotomic, parencode._five_squares_cached,
+                parencode._par_core, pellpairs._pell_cached, witness._eps,
                 quadforms._place_is_prime)
 
 

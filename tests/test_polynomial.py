@@ -14,10 +14,8 @@ from diobench.polynomial import (
     format_poly,
     parse_poly,
     poly_gcd,
-    poly_mod_p,
     real_root_count,
     resultant,
-    resultant_fp,
     sturm_chain,
 )
 
@@ -130,8 +128,7 @@ def test_gcd_and_resultant():
     # Res(T^2 - 1, T - 2) = product of (root - 2) times lead powers
     assert resultant(T * T - 1, T - 2) == 3
     assert resultant(T * T + 1, T * T - 1) == 4
-    assert resultant_fp(poly_mod_p(T * T + 1, 5),
-                        poly_mod_p(T - 1, 5), 5) == 2
+    assert resultant(T * T + 1, T - 1) == 2
 
 
 def euclid_gcd(a, b):
@@ -162,6 +159,46 @@ def test_poly_gcd_is_primitive_and_divides(a, b, c):
 def test_resultant_zero_iff_common_factor(a, b):
     common = poly_gcd(a, b).degree
     assert (resultant(a, b) == 0) == (common is not None and common > 0)
+
+
+def sylvester_resultant(a, b):
+    """Res(a, b) as the determinant of the Sylvester matrix, by Gaussian
+    elimination over Fraction: the reference for the library's remainder
+    sequence.  0 if a or b is zero; the empty matrix of two constants has
+    determinant 1."""
+    if a.is_zero() or b.is_zero():
+        return 0
+    m, n = a.degree, b.degree
+    rows = [[0] * i + list(reversed(p.coeffs)) + [0] * (k - 1 - i)
+            for p, k in ((a, n), (b, m)) for i in range(k)]
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(m + n):
+        pivot = next((i for i in range(col, m + n) if rows[i][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for i in range(col + 1, m + n):
+            f = rows[i][col] / rows[col][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return det
+
+
+@given(a=rat_polys, b=rat_polys)
+@example(a=T + 1, b=T**3 - 2)
+@example(a=Poly([Fraction(2, 3)]), b=T * T - Fraction(1, 2) * T + 5)
+@example(a=2 * T - 2, b=(T - 1) * (T * T + Fraction(3, 2)))
+@example(a=Fraction(1, 2) * T - 3, b=2 * T**4 + Fraction(5, 3) * T + 1)
+@settings(max_examples=200, deadline=None)
+def test_resultant_matches_sylvester_determinant(a, b):
+    got = resultant(a, b)
+    assert got == sylvester_resultant(a, b)
+    # an int when the value is integral, a Fraction otherwise
+    assert type(got) is (int if Fraction(got).denominator == 1
+                         else Fraction)
 
 
 def test_real_root_count():
@@ -317,13 +354,3 @@ def test_quadext_residue_needs_nonzero_norm():
         null.residue(QuadExt(1, 0, T * T))
     assert null.divides(QuadExt(0, 0, T * T))
     assert not null.divides(QuadExt(1, 0, T * T))
-
-
-def test_poly_mod_p_takes_integers_only():
-    assert poly_mod_p(T * T - 7 * T + 3, 5) == [3, 3, 1]
-    assert poly_mod_p(T * T + 5 * T + 10, 5) == [0, 0, 1]
-    with pytest.raises(ValueError):
-        poly_mod_p(Poly([Fraction(1, 2), 1]), 5)
-    for a in (5 * T * T + 1, 5 * T + 10, Poly()):  # the degree drops
-        with pytest.raises(ValueError):
-            poly_mod_p(a, 5)

@@ -22,6 +22,8 @@ PACKAGE = Path(diobench.__file__).parent
 
 UNREACHED_ALLOWED = {
     ("polynomial.py", "Poly.__bool__"): "without it a zero polynomial is truthy",
+    ("polynomial.py", "Poly.__hash__"):
+        "Poly overrides __eq__, so without __hash__ it is unhashable",
     ("polynomial.py", "Poly.__repr__"): "debugging",
     ("polynomial.py", "QuadExt.__repr__"): "debugging",
     ("polynomial.py", "QuadExt.__eq__"): "tests compare QuadExt values with it",
@@ -67,6 +69,10 @@ DELETED = {
         "p = 1 + k*step once per call",
     ("polynomial.py", "squarefree_decomposition"):
         "Pos counts roots down the gcd tower",
+    ("polynomial.py", "resultant_fp"):
+        "one integer resultant answers p | Res for every p",
+    ("polynomial.py", "poly_mod_p"): "as resultant_fp",
+    ("cyclotomic.py", "_cyclotomic_mod_p"): "as resultant_fp",
 }
 
 # Runs in the child: read argv lists from stdin, run each through cli.main
