@@ -37,6 +37,13 @@ PELL_DEGREE_MAX = 400
 # 0.3 s at bound 60 for s = t, 0.75 s for t/3 + 1/2; s = t took 3.5 s at 160).
 PELL_LAWS_MAX = 60
 
+# Ceiling on |d| for `defsys nonneg`, whose exp system builds eps^(2|d|) and
+# its quotient by eps - (d^4 + 1), with coefficients up to (d^4 + 1)^(2|d|).
+# At |d| = 228 the accepted witness (d^4 + 1)^(2|d|) passes Python's digit
+# limit for str() (as a process on 2 cores: 0.37 s at d = 227 and -227; in
+# process, 1.0 s at d = 500 and 12 s at d = -1000).
+NONNEG_D_MAX = 227
+
 # Ceiling on d = deg theta(n) for `par eval`: each step of the minimal-c
 # search builds a degree-(2d + 2) Sturm chain (in process on 2 cores, the
 # slowest n < 10^4300 tried took 1.0 s at d = 20, 3.4 s at 30, 14 s at 40).
@@ -144,6 +151,9 @@ def cmd_defsys(args):
             rep = wit.odd_integer_refute(inputs["a"], bound=bound)
     elif args.system == "nonneg":
         _require(args, what, "d")
+        if abs(args.d) > NONNEG_D_MAX:
+            raise ValueError(f"nonneg needs |d| <= {NONNEG_D_MAX}, "
+                             f"got {args.d}")
         inputs = {"d": args.d}
         rep = wit.nonneg_gadget(args.d)
     report = Report(what, inputs=inputs, result=rep.to_dict())

@@ -134,17 +134,6 @@ def radical(n):
     return out
 
 
-def xgcd(a, b):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def crt(residues, moduli):
     """Unique c in [0, prod(moduli)) with c = residues[i] mod moduli[i]."""
     if len(residues) != len(moduli):
@@ -162,9 +151,7 @@ def crt(residues, moduli):
                 )
     c, m = residues[0] % moduli[0], moduli[0]
     for r, n in zip(residues[1:], moduli[1:]):
-        g, u, _ = xgcd(m, n)
-        assert g == 1
-        c = (c + (r - c) * u % n * m) % (m * n)
+        c = (c + (r - c) * pow(m, -1, n) % n * m) % (m * n)
         m *= n
     return c
 

@@ -487,26 +487,9 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def residue(self, x):
-        """The components (u, w) of x * conj(self), each reduced modulo
-        N(self).  The map is Q-linear in x, and self | x exactly when both
-        components are zero."""
-        self._check(x)
-        nm = self.norm()
-        if nm.is_zero():
-            raise ValueError("residue modulo a zero norm")
-        prod = x * self.conj()
-        return prod.u % nm, prod.w % nm
-
-    def divides(self, other):
-        """Whether self | other in Q[T][sqrt(D)] (exact component division)."""
-        self._check(other)
-        if self.norm().is_zero():
-            return other.u.is_zero() and other.w.is_zero()
-        return self.residue(other) == (ZERO, ZERO)
-
     def exact_div(self, other):
-        """self / other, assuming divisibility."""
+        """self / other: both components of self * conj(other) divided by
+        N(other), a ValueError when either leaves a remainder."""
         self._check(other)
         nm = other.norm()
         prod = self * other.conj()

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from diobench import SelfCheckError
 from diobench.pellpairs import epsilon, is_pell_solution, pell_pair
-from diobench.polynomial import ZERO, Poly, QuadExt, T
+from diobench.polynomial import Poly, QuadExt, T
 
 
 @dataclass
@@ -87,76 +87,50 @@ def constants_system(x):
 def singlefold_int(c, bound=50, desk=DESK):
     """c is an integer constant, witnessed by a single eps-power index.
 
-    Acceptance: some n in [0, bound] and sign with
-    (eps - 1) | (q_n -+ c) where q_n = (eps^n - 1)/(eps - 1); the witness is
-    (n, u, w) with eps^n = u - sqrt(a^2-1) w.  Exactly one witness exists per
-    integer |c| (single-fold); non-integers are refuted to the bound.
-    Divisibility is read off residues: with res(x) the components of
-    x * conj(eps - 1) reduced modulo N(eps - 1), a Q-linear map, the test
-    holds exactly when res(q_n) = +-c * res(1).  The residues of 1 and of
-    each q_n are computed once per (a, bound) and tested against every c.
+    Acceptance: some n in [0, bound] and sign with (eps - 1) | (q_n -+ c),
+    where q_n = (eps^n - 1)/(eps - 1) = 1 + eps + ... + eps^(n-1); the
+    witness is (n, sign, f, g) with eps^n = f - sqrt(a^2 - 1) g.  Only a
+    constant c is tested; any other c is refuted to the bound.
+
+    By Taylor's formula at 1, P(eps) = P(1) + (eps - 1) R(eps) for P in
+    Q[X], so (eps - 1) | (q_n -+ c) exactly when (eps - 1) | (n -+ c).
+    eps - 1 is no unit, since its norm 2 - 2a is nonconstant, so it divides
+    the constant n -+ c only when that is 0.  An integer c with |c| <= bound
+    thus has exactly one witness, n = |c| with the sign of c (+ at c = 0),
+    read off c directly, and every other c has none (single-fold).  The
+    quotient (q_n - n)/(eps - 1) = y_n is built by exact division, which
+    checks the witness in the ring.
     """
     c = Poly.coerce(c)
     witnesses = []
-    if c.is_constant():
-        cv = c.constant()
-        (one_u, one_w), ladder = _q_ladder(desk.a.coeffs, bound)
-        targets = [(sign, (one_u * (sign * cv), one_w * (sign * cv)))
-                   for sign in (1, -1)]
-        for n, res_q in enumerate(ladder):
-            for sign, target in targets:
-                if res_q == target:
-                    pair = pell_pair(desk.a, n)
-                    witnesses.append((n, sign, pair.f, pair.g))
-                    break  # both signs match only at c = 0: res(1) != 0
+    cv = c.constant()
+    if c.is_constant() and type(cv) is int and abs(cv) <= bound:
+        n = abs(cv)
+        _y(desk.a.coeffs, n)  # checks (eps - 1) | (q_n - n) in the ring
+        pair = pell_pair(desk.a, n)
+        witnesses.append((n, -1 if cv < 0 else 1, pair.f, pair.g))
     verdict = "accepted" if witnesses else "refuted-to-bound"
     return WitnessReport("singlefold-int", (c,), verdict,
                          witnesses=witnesses, bound=bound)
 
 
-@lru_cache(maxsize=1 << 6)
-def _q_ladder(a_coeffs, bound):
-    """res(1) and (res(q_0), ..., res(q_bound)) for eps at a, where
-    q_n = (eps^n - 1)/(eps - 1) = eps^0 + ... + eps^(n-1) and res is
-    (eps - 1).residue.
-
-    res(x) is x * conj(eps - 1) with both components reduced modulo
-    N(eps - 1), and that reduction is a ring map, so res(eps^(k+1)) is
-    res(eps^k) * eps reduced and res(q_n) is the sum of the res(eps^k):
-    every step costs the same whatever n is.
-    """
-    eps = _eps(a_coeffs)
-    den = eps - QuadExt(1, 0, eps.D)
-    # a constant multiple of the norm leaves every remainder as it is
-    nm = den.norm().primitive_part()
-    step = _reduce(eps, nm)
-    res_one = den.residue(QuadExt(1, 0, eps.D))
-    r = QuadExt(*res_one, eps.D)  # res(eps^n)
-    q = QuadExt(0, 0, eps.D)  # res(q_n)
-    ladder = []
-    for _ in range(bound + 1):
-        ladder.append((q.u, q.w))
-        q = q + r
-        r = _reduce(r * step, nm)
-    return res_one, tuple(ladder)
-
-
-def _reduce(x, M):
-    """x with both components reduced modulo the polynomial M."""
-    return QuadExt(x.u % M, x.w % M, x.D)
-
-
 def exp_system(b, c, d, bound=None, desk=DESK):
     """|c| = |b|^|d| for integers, single-fold up to witness values.
 
-    Witness (n, s1, s2): (eps - b) | (eps^n + s1*c) and
-    (eps - 1)^2 | (d*(eps-1) + s2*(eps^n - 1)); n must equal |d| for the
-    second relation to hold, so the search is direct.  The first relation
-    holds for one value of s1*c at most, -b^n, read off residues once per
-    (a, b, n) with its quotient; b != 0 makes it nonzero, so at most one s1
-    matches.  The second depends on d alone and is built once per (a, d);
-    only d = 0 admits both s2, and both give y = 0, so the first s2 is the
-    witness.
+    Witness (n, s1, s2) with the quotients x and y:
+    (eps - b) x = eps^n + s1*c and (eps - 1)^2 y = d(eps - 1) + s2(eps^n - 1).
+
+    By Taylor's formula at beta, P(eps) = P(beta) + P'(beta)(eps - beta)
+    + (eps - beta)^2 R(eps) for P in Z[X].  eps - beta is no unit for
+    beta != 0, since its norm beta^2 - 2a*beta + 1 is nonconstant, so
+    (eps - beta) | P(eps) exactly when P(beta) = 0, and
+    (eps - beta)^2 | P(eps) exactly when P(beta) = P'(beta) = 0.  The first
+    relation thus holds exactly when s1*c = -b^n, which b != 0 makes
+    nonzero, so at most one s1.  The second has P(1) = 0 and
+    P'(1) = d + s2*n, so n = |d| and s2 = -sgn d; d = 0 admits both s2,
+    both give y = 0, and the first, s2 = 1, is the witness.  Then
+    x = (eps^n - b^n)/(eps - b) and y = s2*y_n, each built once by exact
+    division, which checks the witness in the ring.
     """
     b, c, d = int(b), int(c), int(d)
     if b == 0:
@@ -164,38 +138,34 @@ def exp_system(b, c, d, bound=None, desk=DESK):
     n = abs(d)
     if bound is not None and n > bound:
         return WitnessReport("exp", (b, c, d), "refuted-to-bound", bound=bound)
-    eps_n, d_quot = _exp_d_relation(desk.a.coeffs, d)
-    k_b, x_quot = _exp_b_relation(desk.a.coeffs, b, n)
-    for s1 in (1, -1):
-        if d_quot is not None and s1 * c == k_b:
-            s2, y_quot = d_quot
-            witness = (n, s1, s2, eps_n.u, eps_n.w, x_quot.u, x_quot.w,
-                       y_quot.u, y_quot.w)
-            return WitnessReport("exp", (b, c, d), "accepted",
-                                 witnesses=[witness])
-    return WitnessReport("exp", (b, c, d), "refuted")
+    v = b**n
+    if abs(c) != abs(v):
+        return WitnessReport("exp", (b, c, d), "refuted")
+    s1 = -1 if c == v else 1
+    s2 = -1 if d > 0 else 1
+    x, y = _x(desk.a.coeffs, b, n), s2 * _y(desk.a.coeffs, n)
+    pair = pell_pair(desk.a, n)
+    witness = (n, s1, s2, pair.f, -pair.g, x.u, x.w, y.u, y.w)
+    return WitnessReport("exp", (b, c, d), "accepted", witnesses=[witness])
 
 
 @lru_cache(maxsize=1 << 8)
-def _exp_b_relation(a_coeffs, b, n):
-    """(k, x) with (eps - b) x = eps^n + k for eps at a, or (None, None).
-
-    With res the Q-linear map (eps - b).residue, (eps - b) | (eps^n + k)
-    exactly when res(eps^n) + k*res(1) = 0.  N(eps - b) = 1 - 2ab + b^2 is
-    nonconstant for a nonconstant a and b != 0, so res(1) != 0 and at most
-    one k holds: the one least squares gives.
-    """
+def _x(a_coeffs, b, n):
+    """x = (eps^n - b^n)/(eps - b) for eps at a."""
     eps = _eps(a_coeffs)
-    den = eps - QuadExt(b, 0, eps.D)
-    eps_n = _eps_power(eps, n)
-    one, res = den.residue(QuadExt(1, 0, eps.D)), den.residue(eps_n)
-    # least squares: k = -<res(eps^n), res(1)> / <res(1), res(1)>
-    dot = sum(p * q for r, o in zip(res, one)
-              for p, q in zip(r.coeffs, o.coeffs))
-    k = -Fraction(dot, sum(q * q for o in one for q in o.coeffs))
-    if any(r + k * o != ZERO for r, o in zip(res, one)):
-        return None, None
-    return k, (eps_n + QuadExt(k, 0, eps.D)).exact_div(den)
+    return _quotient(_eps_power(eps, n) - b**n, eps - b,
+                     f"eps - b does not divide eps^{n} - b^{n} at "
+                     f"a = {eps.u}, b = {b}")
+
+
+@lru_cache(maxsize=1 << 8)
+def _y(a_coeffs, n):
+    """y_n = (eps^n - 1 - n(eps - 1))/(eps - 1)^2 for eps at a."""
+    eps = _eps(a_coeffs)
+    e1 = eps - 1
+    return _quotient(_eps_power(eps, n) - 1 - n * e1, e1 * e1,
+                     f"(eps - 1)^2 does not divide eps^{n} - 1 - {n}(eps - 1) "
+                     f"at a = {eps.u}")
 
 
 def _eps_power(eps, n):
@@ -204,21 +174,13 @@ def _eps_power(eps, n):
     return QuadExt(pair.f, -pair.g, eps.D)
 
 
-@lru_cache(maxsize=1 << 6)
-def _exp_d_relation(a_coeffs, d):
-    """The part of exp_system that depends on d alone, for eps at a: eps^|d|
-    and the first (s2, y) with (eps - 1)^2 y = d(eps - 1) + s2(eps^|d| - 1),
-    or None."""
-    eps = _eps(a_coeffs)
-    one = QuadExt(1, 0, eps.D)
-    eps_n = _eps_power(eps, abs(d))
-    e1 = eps - one
-    den2 = e1 * e1
-    for s2 in (1, -1):
-        num2 = d * e1 + s2 * (eps_n - one)
-        if den2.divides(num2):
-            return eps_n, (s2, num2.exact_div(den2))
-    return eps_n, None
+def _quotient(num, den, failure):
+    """num / den by one exact division, or SelfCheckError(failure) when the
+    remainder is not zero: the relation of an accepted witness fails."""
+    try:
+        return num.exact_div(den)
+    except ValueError:
+        raise SelfCheckError(failure) from None
 
 
 # -- odd-integer system (seven relations at s = a*x) --------------------------
@@ -342,6 +304,11 @@ def odd_integer_refute(a_value, bound=15):
         "odd-int", (a_value,), "refuted-to-bound", bound=bound,
         notes="no witness tuple up to the index bound",
     )
+
+
+def _reduce(x, M):
+    """x with both components reduced modulo the polynomial M."""
+    return QuadExt(x.u % M, x.w % M, x.D)
 
 
 def _rel_notes(rel):

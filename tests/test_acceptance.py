@@ -73,6 +73,11 @@ def _f_off_by_one(right):
     return lambda n, f, g, s: right(n, f + 1, g, s)
 
 
+def _pair_one_up(right):
+    """pell_pair giving the pair at |n| + 1."""
+    return lambda s, n: right(s, abs(n) + 1)
+
+
 def _repeat_first(right):
     """find_special_congruent giving its first index `count` times."""
     return lambda d, s, count, avoid_primes=(): right(
@@ -114,10 +119,16 @@ FAULTS = [
      "c = -5: refuted-to-bound, folds 1"),
     ("02-singlefold-z", (witness, "singlefold_int", _verdict("accepted")),
      "c = 1/2 not refuted: accepted"),
+    # eps^(n + 1) for eps^n: the quotient y_n leaves a remainder
+    ("02-singlefold-z", (witness, "pell_pair", _pair_one_up),
+     "(eps - 1)^2 does not divide eps^5 - 1 - 5(eps - 1) at a = T"),
     ("03-exp-system", (witness, "exp_system", _verdict("accepted")),
      "(-8, 513, -3) wrongly accepted"),
     ("03-exp-system", (witness, "exp_system", _verdict("refuted")),
      "(-8, 512, -3): refuted, folds 1"),
+    # eps^(n + 1) for eps^n: the quotient by eps - b leaves a remainder
+    ("03-exp-system", (witness, "pell_pair", _pair_one_up),
+     "eps - b does not divide eps^3 - b^3 at a = T, b = -8"),
     ("04-odd-integer", (witness, "odd_integer_refute", _verdict("accepted")),
      "a = 0 wrongly accepted"),
     ("04-odd-integer", (witness, "odd_integer_system", _verdict("invalid")),
@@ -255,11 +266,11 @@ def _fault_ids():
 
 # The caches that would keep values computed under a fault, or hide from a
 # warm run a fault inside the construction they cache: Phi_n, the
-# five-squares results, the Par cores, the Pell pairs, eps per desk and the
-# checked Hilbert-symbol places.
+# five-squares results, the Pell pairs, the Par cores, eps and the
+# eps-relation quotients per desk and the checked Hilbert-symbol places.
 FAULT_CACHES = (cyclotomic.cyclotomic, parencode._five_squares_cached,
                 parencode._par_core, pellpairs._pell_cached, witness._eps,
-                quadforms._place_is_prime)
+                witness._x, witness._y, quadforms._place_is_prime)
 
 
 def _clear_caches():
@@ -323,8 +334,7 @@ def test_03_builds_eps_once_per_desk(monkeypatch):
                         lambda s: calls.append(s) or right(s))
     builds = []
     for b_max in (8, 16):
-        for cached in (witness._eps, witness._exp_b_relation,
-                       witness._exp_d_relation):
+        for cached in (witness._eps, witness._x, witness._y):
             cached.cache_clear()
         calls.clear()
         assert acceptance.exp_grid(b_max=b_max, d_max=3, seed=0)[0]

@@ -305,18 +305,18 @@ def test_quadext_arithmetic():
     cube = eps * eps * eps
     assert cube.u == 4 * T**3 - 3 * T and cube.w == -(4 * T * T - 1)
     assert quad_power(eps, 5).exact_div(eps * eps) == cube
-    assert (eps - QuadExt(1, 0, D)).divides(quad_power(eps, 4)
-                                            - QuadExt(1, 0, D))
+    e1, z = eps - QuadExt(1, 0, D), quad_power(eps, 4) - QuadExt(1, 0, D)
+    assert e1 * z.exact_div(e1) == z
 
 
 D1 = T * T - 1
 EPS = QuadExt(T, -1, D1)  # the eps at a = T
 EPS2 = QuadExt(2 * T, -1, 4 * T * T - 1)  # the eps at a = 2T
-RESIDUE_DIVISORS = [
+QUAD_DIVISORS = [
     EPS - QuadExt(1, 0, D1),
     EPS - QuadExt(3, 0, D1),
     EPS2 - QuadExt(1, 0, EPS2.D),
-    EPS2,  # a unit: every residue is zero
+    EPS2,  # a unit: it divides everything
 ]
 quad_coeffs = st.lists(
     st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4)),
@@ -328,29 +328,22 @@ def _quad(den, u, w):
     return QuadExt(Poly(u), Poly(w), den.D)
 
 
-@given(k=st.integers(0, len(RESIDUE_DIVISORS) - 1), xu=quad_coeffs,
+@given(k=st.integers(0, len(QUAD_DIVISORS) - 1), xu=quad_coeffs,
        xw=quad_coeffs, yu=quad_coeffs, yw=quad_coeffs,
        c=st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=4)))
 @settings(max_examples=150, deadline=None)
-def test_quadext_residue_is_linear_and_decides_division(k, xu, xw, yu, yw, c):
-    den = RESIDUE_DIVISORS[k]
+def test_quadext_exact_div_succeeds_iff_the_norm_divides(k, xu, xw, yu, yw,
+                                                        c):
+    """z / den succeeds exactly when N(den) divides both components of
+    z * conj(den), the definition of den | z, and then den times the
+    quotient is z."""
+    den = QUAD_DIVISORS[k]
     x, y = _quad(den, xu, xw), _quad(den, yu, yw)
-    rx, ry = den.residue(x), den.residue(y)
-    assert den.residue(x + c * y) == (rx[0] + c * ry[0], rx[1] + c * ry[1])
-    assert den.residue(den * y) == (Poly(), Poly())
     nm = den.norm()
     for z in (x, den * y, den * y + c * x):
-        zero = den.residue(z) == (Poly(), Poly())
-        prod = z * den.conj()  # reference: the norm divides both components
-        assert zero == (nm.divides(prod.u) and nm.divides(prod.w))
-        assert den.divides(z) == zero
-        if zero:
+        prod = z * den.conj()
+        if nm.divides(prod.u) and nm.divides(prod.w):
             assert den * z.exact_div(den) == z
-
-
-def test_quadext_residue_needs_nonzero_norm():
-    null = QuadExt(T, 1, T * T)  # norm T^2 - T^2 = 0
-    with pytest.raises(ValueError):
-        null.residue(QuadExt(1, 0, T * T))
-    assert null.divides(QuadExt(0, 0, T * T))
-    assert not null.divides(QuadExt(1, 0, T * T))
+        else:
+            with pytest.raises(ValueError):
+                z.exact_div(den)

@@ -218,6 +218,9 @@ def test_cli_exit_codes(capsys):
     # |numerator * denominator| above cli.QFORM_INT_MAX
     ["qform", "report", "--a", "100000000000000000039", "--b", "5"],
     ["qform", "report", "--a", "2", "--b", "1/1000000000001"],
+    # |d| above cli.NONNEG_D_MAX
+    ["defsys", "nonneg", "--d", "228"],
+    ["defsys", "nonneg", "--d", "-1000"],
 ])
 def test_cli_bad_input_exits_2(argv, capsys, monkeypatch):
     if isinstance(argv, tuple):
@@ -488,6 +491,37 @@ def test_cli_queries_match_golden():
     """The cached Pos/Pell/five-squares paths answer as recorded."""
     golden = Path(__file__).parent / "golden" / "cli-queries-seed0.json"
     assert cli_queries_json() == golden.read_text()
+
+
+def _eps_queries():
+    """The eps-power systems on the desk: exp with c = b^n, -b^n and
+    b^n + 1 for |b| <= 8 and |d| <= 4, singlefold-int on integers, two
+    fractions and a polynomial, and nonneg, whose exp system has base
+    d^4 + 1."""
+    queries = []
+    for b in (*range(-8, 0), *range(1, 9)):
+        for d in range(-4, 5):
+            v = b ** abs(d)
+            queries += [["defsys", "exp", f"--base={b}", f"--exp={d}",
+                         f"--result={c}"] for c in (v, -v, v + 1)]
+    queries += [["defsys", "singlefold-int", f"--c={c}"]
+                for c in (*range(-6, 7), "1/2", "-7/4", "t")]
+    queries += [["defsys", "nonneg", f"--d={d}"] for d in range(-6, 7)]
+    return queries
+
+
+def test_eps_systems_match_golden(monkeypatch):
+    """The exit code and --format json output of each eps-system query
+    stay byte-identical to the recorded ones."""
+    monkeypatch.delenv("WORKBENCH_BOUND", raising=False)
+    runs = []
+    for argv in _eps_queries():
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(["--format", "json", *argv])
+        runs.append({"argv": argv, "exit": code, "stdout": buf.getvalue()})
+    golden = Path(__file__).parent / "golden" / "eps-systems-seed0.json"
+    assert json.dumps(runs, indent=1) + "\n" == golden.read_text()
 
 
 def test_verify_all_quick_deterministic(capsys):
