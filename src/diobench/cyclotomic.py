@@ -3,7 +3,7 @@ product machinery: congruent-index construction, the approximation sweep,
 approximation points via CRT of Hensel lifts, and the appendix lemma checks.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, prod
 
@@ -76,17 +76,15 @@ def cyclotomic_mod(n, B):
     return Poly(c)
 
 
-@dataclass(frozen=True)
-class SpecialFormIndex:
-    n: int
-    p: int
-    m: int
+class SpecialFormIndex(namedtuple("SpecialFormIndex", "n p m")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n != self.p * self.m or not is_prime(self.p):
+    def __new__(cls, n, p, m):
+        if n != p * m or not is_prime(p):
             raise ValueError("need n = p*m with p prime")
-        if self.m >= 1 and (self.p - 1) % self.m != 0:
-            raise ValueError(f"m = {self.m} does not divide p - 1 = {self.p - 1}")
+        if m >= 1 and (p - 1) % m != 0:
+            raise ValueError(f"m = {m} does not divide p - 1 = {p - 1}")
+        return super().__new__(cls, n, p, m)
 
 
 def special_form(n):
@@ -156,10 +154,11 @@ def find_special_congruent(d, s, count, avoid_primes=frozenset()):
     return found
 
 
-@dataclass
 class CycloProductSpec:
-    sign: int
-    indices: list
+    __slots__ = ("sign", "indices")
+
+    def __init__(self, sign, indices):
+        self.sign, self.indices = sign, indices
 
     def expand_mod(self, B):
         acc = Poly([self.sign])
@@ -222,11 +221,11 @@ def forweak_approx(F, d):
     return spec
 
 
-@dataclass
 class ApproxPoint:
-    c: int
-    modulus: int
-    records: list
+    __slots__ = ("c", "modulus", "records")
+
+    def __init__(self, c, modulus, records):
+        self.c, self.modulus, self.records = c, modulus, records
 
     def to_dict(self):
         return {"c": self.c, "modulus": self.modulus,

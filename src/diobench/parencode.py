@@ -7,7 +7,6 @@ The indexing theta is a fixed bijection from positive integers onto Z[T]
 bit-for-bit in docs/theta-scheme.md.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -221,14 +220,11 @@ def _five_squares_cached(coeffs, g_max, witness_limit):
 # -- Par ----------------------------------------------------------------------
 
 
-@dataclass
 class ParTuple:
-    n: int
-    b: int
-    c: int
-    d: int
-    g: int
-    v: int
+    __slots__ = ("n", "b", "c", "d", "g", "v")
+
+    def __init__(self, n, b, c, d, g, v):
+        self.n, self.b, self.c, self.d, self.g, self.v = n, b, c, d, g, v
 
     def to_dict(self):
         return {"n": self.n, "b": self.b, "c": self.c, "d": self.d,
@@ -319,10 +315,10 @@ def reconstruct_check(F, t):
     """Whether F passes the reconstruction conditions against the tuple t.
 
     Accepts iff Pos(Y_{d+2}^2 + c - F^2 - 1) holds and F(2b+2c+d) = v.
-    Acceptance forces F = P_{t.n}.
+    Acceptance forces F = P_{t.n}.  par_eval judges each tuple once, however
+    many F are checked against it.
     """
-    ev = par_eval(t)
-    if ev["verdict"] != "accepted":
+    if not _par_accepted(t.n, t.b, t.c, t.d, t.g, t.v):
         raise ValueError("tuple not accepted by par_eval")
     F = Poly.coerce(F)
     _, _, Y, _ = _par_core(t.n)  # par_eval required t.d == d
@@ -334,3 +330,8 @@ def reconstruct_check(F, t):
         "value": value_ok,
         "accepted": pos_ok and value_ok,
     }
+
+
+@lru_cache(maxsize=1 << 10, typed=True)
+def _par_accepted(*fields):
+    return par_eval(ParTuple(*fields))["verdict"] == "accepted"

@@ -6,7 +6,7 @@ f_n - sqrt(D) g_n = eps^n.  All solutions of f^2 - D g^2 = 1 are +-(f_n, g_n)
 with n ranging over the integers (negative n via conjugation).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,19 +33,14 @@ def epsilon(s):
     return QuadExt(s, Poly([-1]), discriminant(s))
 
 
-@dataclass(frozen=True)
-class PellPair:
-    n: int
-    f: Poly
-    g: Poly
-    s: Poly
+PellPair = namedtuple("PellPair", "n f g s")
 
 
 def pell_pair(s, n):
     """The unique (f_n, g_n) with f_n - sqrt(s^2-1) g_n = eps^n.
 
-    Each pair is built and checked once per (s, n); the pair is frozen, so
-    every caller shares it.
+    Each pair is built and checked once per (s, n); the pair is an immutable
+    tuple, so every caller shares it.
     """
     s = Poly.coerce(s)
     if s.is_constant():

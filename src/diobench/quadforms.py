@@ -7,7 +7,6 @@ Closed-form local rules are cross-checked against a brute-force modular
 oracle built on the search kernels.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
@@ -82,34 +81,33 @@ def hilbert_symbol(a, b, v):
     return -1 if e % 2 else 1
 
 
-_oracle_cache = {}
-
-
 def local_solubility_oracle(a, b, p):
     """Brute-force test for primitive solutions of z^2 = a x^2 + b y^2 mod p^k.
 
     Inputs are reduced to their squarefree kernels first (square factors do
     not change solubility), after which k = 3 suffices for odd p and k = 5
-    for p = 2.
+    for p = 2.  Each (kernel of a, kernel of b, p) is scanned once.
     """
     if a == 0 or b == 0:
         raise ValueError("arguments must be nonzero")
-    k = 5 if p == 2 else 3
-    a = squarefree_kernel(_int_rep(a))
-    b = squarefree_kernel(_int_rep(b))
-    key = (a, b, p)
-    if key not in _oracle_cache:
-        _oracle_cache[key] = mod_scan_soluble(a, b, p**k)
-    return _oracle_cache[key]
+    return _oracle_scan(squarefree_kernel(_int_rep(a)),
+                        squarefree_kernel(_int_rep(b)), p)
 
 
-@dataclass
+# bounded above the 4,056 distinct keys of the full profile's criterion 10
+@lru_cache(maxsize=1 << 13)
+def _oracle_scan(a, b, p):
+    return mod_scan_soluble(a, b, p ** (5 if p == 2 else 3))
+
+
 class FormDiagnosis:
-    a: Fraction
-    b: Fraction
-    symbols: dict
-    anisotropic_places: list
-    globally_isotropic: bool
+    __slots__ = ("a", "b", "symbols", "anisotropic_places",
+                 "globally_isotropic")
+
+    def __init__(self, a, b, symbols, anisotropic_places, globally_isotropic):
+        self.a, self.b, self.symbols = a, b, symbols
+        self.anisotropic_places = anisotropic_places
+        self.globally_isotropic = globally_isotropic
 
     def to_dict(self):
         return {
@@ -161,13 +159,12 @@ def anisotropy_report(a, b):
     return FormDiagnosis(a, b, symbols, aniso, not aniso)
 
 
-@dataclass
 class EisensteinCert:
-    p: int
-    m: int
-    r: int
-    valuations: list
-    verdict: bool
+    __slots__ = ("p", "m", "r", "valuations", "verdict")
+
+    def __init__(self, p, m, r, valuations, verdict):
+        self.p, self.m, self.r = p, m, r
+        self.valuations, self.verdict = valuations, verdict
 
     def to_dict(self):
         return {"p": self.p, "m": self.m, "r": self.r,
@@ -196,11 +193,11 @@ def eisenstein_certify(f, p):
     return EisensteinCert(p, m, r if verdict else None, vals, verdict)
 
 
-@dataclass
 class XiTriple:
-    xi1: Fraction
-    xi2: Fraction
-    xi3: Fraction
+    __slots__ = ("xi1", "xi2", "xi3")
+
+    def __init__(self, xi1, xi2, xi3):
+        self.xi1, self.xi2, self.xi3 = xi1, xi2, xi3
 
 
 def _f_cubed_plus_t(f):
@@ -260,14 +257,9 @@ def real_xi_construct(f):
     35/4 to 35); the loop ends because xi1*f^3 + T, of even degree with a
     positive leading coefficient, is bounded below.
     """
-    f = Poly.coerce(f)
-    if f.is_constant():
-        raise ValueError("f is not a constant: rejected")
-    if f.degree % 2:
-        raise ValueError("degree of f must be even")
-    cube = f**3
-    xi1 = Fraction(1) if cube.lead() > 0 else Fraction(-1)
-    base = xi1 * cube + Poly([0, 1])
+    F = _f_cubed_plus_t(f)
+    xi1 = Fraction(1) if F.lead() > 0 else Fraction(-1)
+    base = xi1 * (F - T) + T
     xi3 = 1 + cauchy_bound(base)
     while True:
         h = base + xi3

@@ -7,35 +7,32 @@ wall-clock elapsed time lives on the object only, for the text format.
 """
 
 import json
-from dataclasses import dataclass, field
 
 STATUSES = ("pass", "fail", "measured", "exhausted")
 
 
-@dataclass
 class Check:
-    name: str
-    status: str
-    details: object = None
+    __slots__ = ("name", "status", "details")
 
-    def __post_init__(self):
-        if isinstance(self.status, bool):
-            self.status = "pass" if self.status else "fail"
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
+    def __init__(self, name, status, details=None):
+        if isinstance(status, bool):
+            status = "pass" if status else "fail"
+        if status not in STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        self.name, self.status, self.details = name, status, details
 
     def to_dict(self):
         return {"name": self.name, "status": self.status,
                 "details": _plain(self.details)}
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    result: object = None
-    checks: list = field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ("command", "inputs", "result", "checks", "elapsed")
+
+    def __init__(self, command, inputs=None, result=None):
+        self.command, self.result = command, result
+        self.inputs = {} if inputs is None else inputs
+        self.checks, self.elapsed = [], 0.0
 
     def add(self, name, ok_or_status, details=None):
         self.checks.append(Check(name, ok_or_status, details))

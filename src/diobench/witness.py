@@ -7,7 +7,7 @@ Each system reports accepted / refuted (/ refuted-to-bound N for co-c.e.
 refusals) together with the witness tuples found and a fold count.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,14 +16,15 @@ from diobench.pellpairs import epsilon, is_pell_solution, pell_pair
 from diobench.polynomial import Poly, QuadExt, T
 
 
-@dataclass
 class WitnessReport:
-    system: str
-    input: tuple
-    verdict: str  # "accepted" | "refuted" | "refuted-to-bound" | "invalid"
-    witnesses: list = field(default_factory=list)
-    bound: int = None
-    notes: str = ""
+    __slots__ = ("system", "input", "verdict", "witnesses", "bound", "notes")
+
+    def __init__(self, system, input, verdict, witnesses=None, bound=None,
+                 notes=""):
+        # verdict: "accepted" | "refuted" | "refuted-to-bound" | "invalid"
+        self.system, self.input, self.verdict = system, input, verdict
+        self.witnesses = [] if witnesses is None else witnesses
+        self.bound, self.notes = bound, notes
 
     @property
     def fold_count(self):
@@ -45,13 +46,13 @@ class WitnessReport:
         }
 
 
-@dataclass(frozen=True)
-class DeskInstantiation:
-    a: Poly = T
+class DeskInstantiation(namedtuple("DeskInstantiation", "a")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a.degree is None or self.a.degree < 1:
+    def __new__(cls, a=T):
+        if a.degree is None or a.degree < 1:
             raise ValueError("a must be nonconstant (pole at the place)")
+        return super().__new__(cls, a)
 
 
 @lru_cache(maxsize=1 << 6)

@@ -18,7 +18,6 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -61,11 +60,20 @@ def test_criteria_table_is_consistent():
 # attribute must make a criterion fail, or a command exit 1.
 
 
+def _rebuild(record, **changes):
+    """`record` with `changes`, built anew by its class's constructor, so
+    that the record's own checks run on the changed fields."""
+    cls = type(record)
+    names = getattr(cls, "_fields", None) or cls.__slots__
+    return cls(**dict({name: getattr(record, name) for name in names},
+                      **changes))
+
+
 def _verdict(verdict):
     """Wrap a witness system so that every report carries `verdict`."""
     return lambda right: (
-        lambda *args, **kwargs: replace(right(*args, **kwargs),
-                                        verdict=verdict))
+        lambda *args, **kwargs: _rebuild(right(*args, **kwargs),
+                                         verdict=verdict))
 
 
 def _f_off_by_one(right):
@@ -96,12 +104,13 @@ def _parts_plus_one(right):
 # function -> wrong one), the details it must give or None).  The target is
 # a check name, or an argv whose report must hold one check, the failed
 # self-check.  The rows of a target reach different failure returns or
-# self-checks.  None marks a criterion whose details are data (05, 09) or
-# the certificate of the first row of 11.
+# self-checks, or fault different code on the way to one.  None marks a
+# criterion whose details are data (05, 09) or the certificate of the first
+# row of 11.
 FAULTS = [
     # a pair with f off by one, which the round trip does not recognise
     ("01-pell-laws", (acceptance, "pell_pair",
-                      lambda right: lambda s, n: replace(
+                      lambda right: lambda s, n: _rebuild(
                           right(s, n), f=right(s, n).f + 1)),
      "round trip T, 0"),
     # the pair at n + 1: it satisfies the identity at the wrong index
@@ -188,15 +197,19 @@ FAULTS = [
                             lambda right: lambda a, b, v: right(a, b, v) * (
                                 -1 if v == 17 else 1)),
      "reciprocity fails at (-765, -5421)"),
+    # a wrong scan behind the oracle, seen only if its cache starts cold
+    ("10-hilbert-symbols", (quadforms, "mod_scan_soluble",
+                            lambda right: lambda a, b, m: -right(a, b, m)),
+     "mismatch at (-10, -10, 2)"),
     ("11-xi-constructors", (quadforms, "eisenstein_certify",
-                            lambda right: lambda f, p: replace(
+                            lambda right: lambda f, p: _rebuild(
                                 right(f, p), verdict=False)), None),
     # wrong only at degree <= 4, past the h of degree 6 that
     # padic_xi_construct certifies
     ("11-xi-constructors", (quadforms, "eisenstein_certify",
                             lambda right: lambda f, p: right(f, p)
-                            if f.degree > 4 else replace(right(f, p),
-                                                         verdict=False)),
+                            if f.degree > 4 else _rebuild(right(f, p),
+                                                          verdict=False)),
      "certify 2 + 4*T + T^2 at 2"),
     ("11-xi-constructors", (acceptance, "_monic_factor",
                             lambda right: lambda g: T),
@@ -212,8 +225,8 @@ FAULTS = [
      "round trip at 42"),
     # Par tuples with c one too large, so 4-c-minimal fails
     ("12-theta-par", (parencode, "make_par_tuple",
-                      lambda right: lambda n: replace(right(n),
-                                                      c=right(n).c + 1)),
+                      lambda right: lambda n: _rebuild(right(n),
+                                                       c=right(n).c + 1)),
      "no accepting tuple at 1"),
     # five parts that do not square up to their target
     ("12-theta-par", (parencode, "_decompositions", _parts_plus_one),
@@ -266,11 +279,13 @@ def _fault_ids():
 
 # The caches that would keep values computed under a fault, or hide from a
 # warm run a fault inside the construction they cache: Phi_n, the
-# five-squares results, the Pell pairs, the Par cores, eps and the
-# eps-relation quotients per desk and the checked Hilbert-symbol places.
+# five-squares results, the Pell pairs, the Par cores, the acceptance of
+# each Par tuple, eps and the eps-relation quotients per desk, the checked
+# Hilbert-symbol places and the oracle's scans.
 FAULT_CACHES = (cyclotomic.cyclotomic, parencode._five_squares_cached,
-                parencode._par_core, pellpairs._pell_cached, witness._eps,
-                witness._x, witness._y, quadforms._place_is_prime)
+                parencode._par_core, parencode._par_accepted,
+                pellpairs._pell_cached, witness._eps, witness._x, witness._y,
+                quadforms._place_is_prime, quadforms._oracle_scan)
 
 
 def _clear_caches():
@@ -323,6 +338,19 @@ def test_12_builds_each_par_core_once():
     assert acceptance.run_criterion("12-theta-par", "quick").status == "pass"
     n_par = acceptance.CRITERIA["12-theta-par"][1]["n_par"]
     assert parencode._par_core.cache_info().misses == n_par
+
+
+def test_12_evaluates_each_par_tuple_twice(monkeypatch):
+    """From cold caches, quick c12 calls par_eval on each of its 60 tuples
+    once for its own verdict and once more for all the reconstruct_check
+    calls against that tuple."""
+    _clear_caches()
+    calls = []
+    right = parencode.par_eval
+    monkeypatch.setattr(parencode, "par_eval",
+                        lambda t: calls.append(t.n) or right(t))
+    assert acceptance.run_criterion("12-theta-par", "quick").status == "pass"
+    assert len(calls) == 120
 
 
 def test_03_builds_eps_once_per_desk(monkeypatch):

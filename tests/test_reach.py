@@ -27,7 +27,7 @@ UNREACHED_ALLOWED = {
     ("polynomial.py", "Poly.__repr__"): "debugging",
     ("polynomial.py", "QuadExt.__repr__"): "debugging",
     ("polynomial.py", "QuadExt.__eq__"): "tests compare QuadExt values with it",
-    ("witness.py", "DeskInstantiation.__post_init__"):
+    ("witness.py", "DeskInstantiation.__new__"):
         "runs at import, before the profiler is on",
 }
 

@@ -109,6 +109,28 @@ def test_qform_reciprocity_fails_on_a_wrong_symbol_under_O():
         assert checks["reciprocity"] == "fail"
 
 
+def test_cold_start_loads_no_code_machinery():
+    """The set-up of every invocation, importing each diobench module and
+    building the CLI parser, loads no module of the code-generation and
+    source-inspection machinery (dataclasses pulls in most of it) that a
+    bare interpreter in the same environment does not load already."""
+    package = Path(cli.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py")
+                     if p.stem != "__init__")
+    setup = (f"from diobench import {', '.join(modules)}\n"
+             "cli.build_parser()\n")
+    show = "import sys\nprint(*sorted(sys.modules))\n"
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    bare, loaded = (set(subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, check=True).stdout.split())
+        for script in (show, setup + show))
+    added = loaded - bare
+    assert {f"diobench.{m}" for m in modules} <= added
+    banned = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    assert not added & banned, sorted(added & banned)
+
+
 def test_pell_laws_at_the_ceiling(capsys):
     code, out = _run_cli(["--format", "json", "pell", "--s", "t^2", "--n",
                           "2", "--check-laws", "--bound",
@@ -180,6 +202,12 @@ def test_cli_exit_codes(capsys):
     assert code == 2  # parse error
 
 
+# the whole error of a test_cli_bad_input_exits_2 row, where it is pinned
+BAD_INPUT_ERRORS = {
+    "qform xi --f 1 --real": "error: f must be nonconstant\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["cyclo", "phi"],
     ["defsys", "exp"],
@@ -221,13 +249,17 @@ def test_cli_exit_codes(capsys):
     # |d| above cli.NONNEG_D_MAX
     ["defsys", "nonneg", "--d", "228"],
     ["defsys", "nonneg", "--d", "-1000"],
+    # a constant f, refused on the real path as on the p-adic one
+    ["qform", "xi", "--f", "1", "--real"],
 ])
 def test_cli_bad_input_exits_2(argv, capsys, monkeypatch):
     if isinstance(argv, tuple):
         bound, argv = argv
         monkeypatch.setenv("WORKBENCH_BOUND", bound)
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert BAD_INPUT_ERRORS.get(" ".join(argv), err) == err
 
 
 def test_pell_laws_reject_empty_env_bound(capsys, monkeypatch):
